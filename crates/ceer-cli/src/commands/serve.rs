@@ -1,18 +1,20 @@
 //! `ceer serve` — run the concurrent prediction service.
 
-use ceer_serve::{EventedServer, ModelRegistry, Server, ServerConfig};
+use ceer_serve::{EventedServer, ModelRegistry, ServerConfig};
 
 use crate::args::Args;
 
 const HELP: &str = "\
 ceer serve — serve predictions from a fitted model over HTTP (JSON API)
 
+One loop thread serves every connection from epoll (Linux only):
+nonblocking sockets, keep-alive connections, micro-batched /predict.
+
 OPTIONS:
     --model FILE        fitted model from `ceer fit` (required; re-read on
                         POST /reload)
     --host HOST         interface to bind (default 127.0.0.1)
     --port PORT         port to bind (default 8100; 0 picks a free port)
-    --workers N         worker threads (default 4)
     --threads N         ceer-par pool size for /predict_batch fan-out
                         (default: the CEER_THREADS env var, then the host's
                         CPU count)
@@ -24,24 +26,23 @@ OPTIONS:
                         recovered. Inspect offline with `ceer durable`.
 
 ROBUSTNESS:
-    --read-timeout-ms N     per-read socket timeout (default 5000; 0 disables)
-    --write-timeout-ms N    per-write socket timeout (default 5000; 0 disables)
+    --read-timeout-ms N     longest gap between bytes a peer sends or
+                            drains; a stalled request answers 408, an idle
+                            or non-draining connection closes (default
+                            5000; 0 disables)
     --request-timeout-ms N  total deadline for reading one request
                             (default 10000; 0 disables)
     --max-body-bytes N      largest accepted request body; bigger answers 413
                             (default 1048576)
-    --max-pending N         pending-connection queue depth; beyond it the
-                            server sheds with 429 + Retry-After (default 128)
+    --max-pending N         open-connection cap; beyond it the server sheds
+                            with 429 + Retry-After (default 128)
 
-TRANSPORT:
-    --evented               serve on the readiness-driven epoll event loop
-                            (Linux): one thread, nonblocking sockets,
-                            keep-alive connections, micro-batched /predict.
-                            Default is the blocking thread-per-connection
-                            transport.
-    --batch-window-ms N     evented only: hold a /predict cache miss up to
-                            N ms to coalesce concurrent misses into one
-                            batched fan-out (default 0 = no extra latency)
+BATCHING:
+    --batch-window-ms N     hold a /predict cache miss up to N ms to
+                            coalesce concurrent misses into one batched
+                            fan-out (default 0 = no extra latency). Other
+                            uncached requests run one at a time on the
+                            loop thread.
 
 FAULT INJECTION (chaos testing):
     CEER_FAULT_PLAN     seeded fault plan, e.g.
@@ -67,22 +68,16 @@ pub(crate) fn run(args: &Args) -> Result<(), String> {
     let model_path = args.require("--model")?;
     let host = args.opt("--host")?.unwrap_or_else(|| "127.0.0.1".to_string());
     let port = args.opt_parse("--port", 8100u16)?;
-    let workers = args.opt_parse("--workers", 4usize)?;
     let cache_capacity = args.opt_parse("--cache-capacity", 256usize)?;
     let defaults = ServerConfig::default();
     let read_timeout_ms = args.opt_parse("--read-timeout-ms", defaults.read_timeout_ms)?;
-    let write_timeout_ms = args.opt_parse("--write-timeout-ms", defaults.write_timeout_ms)?;
     let request_timeout_ms = args.opt_parse("--request-timeout-ms", defaults.request_timeout_ms)?;
     let max_body_bytes = args.opt_parse("--max-body-bytes", defaults.max_body_bytes)?;
     let max_pending = args.opt_parse("--max-pending", defaults.max_pending)?;
-    let evented = args.flag("--evented");
     let batch_window_ms = args.opt_parse("--batch-window-ms", defaults.batch_window_ms)?;
     let data_dir = args.opt("--data-dir")?.map(std::path::PathBuf::from);
     crate::commands::apply_threads(args)?;
     args.finish()?;
-    if workers == 0 {
-        return Err("--workers must be positive".into());
-    }
     // A typo'd fault plan must refuse to start, not silently inject nothing.
     let faults = ceer_faults::FaultPlan::from_env()?;
     if let Some(plan) = &faults {
@@ -93,10 +88,8 @@ pub(crate) fn run(args: &Args) -> Result<(), String> {
     let config = ServerConfig {
         host,
         port,
-        workers,
         cache_capacity,
         read_timeout_ms,
-        write_timeout_ms,
         request_timeout_ms,
         max_body_bytes,
         max_pending,
@@ -104,34 +97,18 @@ pub(crate) fn run(args: &Args) -> Result<(), String> {
         data_dir,
         faults,
     };
-    if evented {
-        let server = EventedServer::start(&config, registry)?;
-        println!(
-            "ceer-serve listening on http://{} (evented, 1 loop thread, batch window {}ms, \
-             cache capacity {}, model {model_path:?})",
-            server.addr(),
-            config.batch_window_ms,
-            config.cache_capacity
-        );
-        print_endpoints();
-        server.wait();
-        return Ok(());
-    }
-    let server = Server::start(&config, registry)?;
+    let server = EventedServer::start(&config, registry)?;
     println!(
-        "ceer-serve listening on http://{} ({} workers, cache capacity {}, model {model_path:?})",
+        "ceer-serve listening on http://{} (1 loop thread, batch window {}ms, cache capacity {}, \
+         model {model_path:?})",
         server.addr(),
-        config.workers,
+        config.batch_window_ms,
         config.cache_capacity
     );
-    print_endpoints();
-    server.wait();
-    Ok(())
-}
-
-fn print_endpoints() {
     println!(
         "endpoints: GET /healthz /readyz /zoo /catalog /metrics — POST /predict /predict_batch \
          /recommend /reload"
     );
+    server.wait();
+    Ok(())
 }

@@ -12,7 +12,7 @@
 //! ceer durable    inspect|verify --dir DIR [--json]
 //! ceer zoo        [--cnn NAME]
 //! ceer catalog    [--market]
-//! ceer serve      --model model.json [--port P] [--workers N]
+//! ceer serve      --model model.json [--port P] [--batch-window-ms MS]
 //! ceer cluster    --model model.json [--port P] [--shards N] [--replicas R]
 //! ceer online     replay [--seed S] [--requests N] [--fault-spec SPEC] [--json]
 //! ```

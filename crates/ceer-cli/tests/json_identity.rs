@@ -1,17 +1,19 @@
 //! `ceer predict --json` / `ceer recommend --json` stdout must be
 //! byte-identical to the corresponding `ceer serve` response bodies: both
 //! front ends evaluate through `ceer_serve::api` and serialize with the
-//! same pretty writer.
+//! same pretty writer. The server side runs the real `ceer serve` binary.
 
+use std::io::{BufRead, BufReader};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Child, ChildStdout, Command, Stdio};
 use std::sync::OnceLock;
 
 use ceer_core::recommend::Objective;
 use ceer_core::{Ceer, CeerModel, EstimateOptions, FitConfig};
 use ceer_graph::models::CnnId;
 use ceer_serve::api::{self, PredictRequest, RecommendRequest};
-use ceer_serve::{Client, ModelRegistry, Server, ServerConfig};
+use ceer_serve::Client;
 
 fn model() -> &'static CeerModel {
     static MODEL: OnceLock<CeerModel> = OnceLock::new();
@@ -43,17 +45,46 @@ fn cli_stdout(args: &[&str]) -> String {
     String::from_utf8(out.stdout).unwrap()
 }
 
+/// A `ceer serve --port 0` child process, killed on drop.
+struct ServeProcess {
+    child: Child,
+    addr: SocketAddr,
+    /// Held open so the server never writes into a closed pipe.
+    _stdout: BufReader<ChildStdout>,
+}
+
+impl ServeProcess {
+    fn spawn() -> Self {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_ceer"))
+            .args(["serve", "--model", model_file().to_str().unwrap(), "--port", "0"])
+            .stdout(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut stdout = BufReader::new(child.stdout.take().unwrap());
+        // "ceer-serve listening on http://127.0.0.1:PORT (...)"
+        let mut line = String::new();
+        stdout.read_line(&mut line).unwrap();
+        let addr = line
+            .split("http://")
+            .nth(1)
+            .and_then(|rest| rest.split_whitespace().next())
+            .and_then(|addr| addr.parse().ok())
+            .unwrap_or_else(|| panic!("no listening address in {line:?}"));
+        ServeProcess { child, addr, _stdout: stdout }
+    }
+}
+
+impl Drop for ServeProcess {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
 fn serve_body(path: &str, request_json: &str) -> String {
-    let config = ServerConfig {
-        host: "127.0.0.1".to_string(),
-        port: 0,
-        workers: 2,
-        cache_capacity: 16,
-        ..ServerConfig::default()
-    };
-    let server = Server::start(&config, ModelRegistry::load(model_file()).unwrap()).unwrap();
-    let raw = Client::new(server.addr()).request("POST", path, request_json.as_bytes()).unwrap();
-    server.shutdown();
+    let server = ServeProcess::spawn();
+    let raw = Client::new(server.addr).request("POST", path, request_json.as_bytes()).unwrap();
+    drop(server);
     assert_eq!(raw.status, 200, "body: {}", raw.body);
     raw.body
 }

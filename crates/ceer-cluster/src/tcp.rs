@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ceer_faults::Faults;
-use ceer_serve::http::{self, ReadBudget, Response};
+use ceer_serve::http::{self, Response};
 use ceer_serve::parser::parse_head;
 use ceer_sim::{Clock, Event, Net, Node, NodeId, SystemClock, EXTERNAL};
 
@@ -198,12 +198,12 @@ struct GatewayRequest {
 /// a stalled peer surfaces as [`http::ReadError::TimedOut`].
 fn read_gateway_request(
     stream: &mut TcpStream,
-    budget: &ReadBudget,
+    max_body_bytes: usize,
 ) -> Result<Option<GatewayRequest>, http::ReadError> {
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
     loop {
-        match parse_head(&buf, budget.max_body_bytes) {
+        match parse_head(&buf, max_body_bytes) {
             Err(error) => return Err(error.into()),
             Ok(Some(head)) => {
                 if let Some(req) = head.request(&buf) {
@@ -261,8 +261,7 @@ fn run_gateway(
         let Ok(mut stream) = conn else { continue };
         stream.set_read_timeout(Some(io_timeout)).ok();
         stream.set_write_timeout(Some(io_timeout)).ok();
-        let budget = ReadBudget::default();
-        let request = read_gateway_request(&mut stream, &budget);
+        let request = read_gateway_request(&mut stream, http::MAX_BODY_BYTES);
         match request {
             Ok(Some(req)) => match String::from_utf8(req.body) {
                 Ok(body) => {

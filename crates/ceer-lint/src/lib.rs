@@ -87,7 +87,7 @@ impl Config {
     /// The Ceer workspace policy.
     ///
     /// `ceer-par` is the one place allowed to create threads — that is
-    /// its whole job; `ceer-serve`'s accept/worker loops take inline
+    /// its whole job; `ceer-serve`'s loop and drain threads take inline
     /// suppressions instead so the exemption stays visible in the code.
     /// `ceer-serve` and the cluster transport are the bounded-io scope:
     /// they are the only code whose reads are fed by network peers, so
@@ -108,7 +108,7 @@ impl Config {
     ///   replay), and the serve request path (`app.rs`, `conn.rs`,
     ///   `evented.rs`) — everything that must replay bit-identically
     ///   under `ceer-sim`. The real transport boundary (`tcp.rs`, the
-    ///   blocking `server.rs`/`client.rs`/`http.rs` stack) is
+    ///   blocking `client.rs`, and the `http.rs` framing both share) is
     ///   sink-exempt: owning sockets and wall clocks is its job, but
     ///   taint still *flows through* it.
     /// * `panic-reachability` roots are every fn in the serve request
@@ -157,13 +157,8 @@ impl Config {
                     "crates/ceer-cluster/src/tcp.rs".to_string(),
                     "crates/ceer-serve/src/client.rs".to_string(),
                     "crates/ceer-serve/src/http.rs".to_string(),
-                    "crates/ceer-serve/src/server.rs".to_string(),
                 ],
-                panic_roots: {
-                    let mut v = serve_request_path.clone();
-                    v.push("crates/ceer-serve/src/server.rs".to_string());
-                    v
-                },
+                panic_roots: serve_request_path.clone(),
                 panic_pub_roots: vec![
                     "crates/ceer-core/src/estimate.rs".to_string(),
                     "crates/ceer-core/src/recommend.rs".to_string(),

@@ -1,9 +1,8 @@
 //! The transport-independent application core: routing, caching,
 //! metrics, readiness — everything about serving predictions that does
-//! not care whether bytes arrive via a blocking worker pool
-//! ([`crate::Server`]) or the evented loop ([`crate::EventedServer`]).
-//! Both transports hold one [`App`] and answer every request through
-//! [`App::route`], so the two produce byte-identical bodies by
+//! not care whether bytes arrive over epoll ([`crate::EventedServer`])
+//! or the sim driver. Both hold one [`App`] and answer every request
+//! through [`App::route`], so the two produce byte-identical bodies by
 //! construction.
 //!
 //! `/predict` is special-cased through [`App::parse_predict`] /

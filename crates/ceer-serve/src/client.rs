@@ -1,8 +1,10 @@
-//! A minimal blocking client for the service, used by the integration
-//! tests and `examples/serve_client.rs`. One TCP connection per call
-//! (the server speaks `Connection: close`).
+//! Minimal blocking clients for the service, used by the integration
+//! tests, `examples/serve_client.rs` and the benchmark: [`Client`] opens
+//! one TCP connection per call and asks the server to close it;
+//! [`ClientConn`] keeps one connection alive across calls. Both send
+//! every request through [`ClientConn::request_with_retry`].
 //!
-//! The client can retry with capped exponential backoff and *seeded*
+//! The clients can retry with capped exponential backoff and *seeded*
 //! jitter ([`RetryPolicy`]): transport failures are retried only for
 //! idempotent (`GET`) requests, while `429` sheds are retried for any
 //! method (a shed request was never processed, so replaying it is safe).
@@ -96,7 +98,7 @@ pub struct Client {
 }
 
 impl Client {
-    /// A client for the server at `addr` (e.g. [`crate::Server::addr`]).
+    /// A client for the server at `addr` (e.g. [`crate::EventedServer::addr`]).
     /// Retries are off by default; opt in with [`Client::with_retry`].
     pub fn new(addr: SocketAddr) -> Self {
         Client { addr, retry: RetryPolicy::none() }
@@ -221,47 +223,9 @@ impl Client {
     ///
     /// Errors on transport failure only (HTTP error statuses are returned).
     pub fn request(&self, method: &str, path: &str, body: &[u8]) -> Result<RawResponse, String> {
-        let idempotent = method == "GET";
-        let mut attempt: u32 = 0;
-        loop {
-            let can_retry = attempt + 1 < self.retry.max_attempts;
-            let mut server_pacing: Option<u64> = None;
-            match self.request_once(method, path, body, attempt) {
-                Ok(response) if response.status == 429 && can_retry => {
-                    server_pacing = response.retry_after;
-                }
-                Ok(response) => return Ok(response),
-                Err(_) if idempotent && can_retry => {}
-                Err(error) => return Err(error),
-            }
-            attempt += 1;
-            std::thread::sleep(self.retry.pacing(attempt, server_pacing));
-        }
-    }
-
-    /// One wire exchange; `attempt > 0` adds the `X-Ceer-Attempt` marker
-    /// so the server can count retried requests.
-    fn request_once(
-        &self,
-        method: &str,
-        path: &str,
-        body: &[u8],
-        attempt: u32,
-    ) -> Result<RawResponse, String> {
-        let mut stream = TcpStream::connect(self.addr)
-            .map_err(|e| format!("cannot connect to {}: {e}", self.addr))?;
-        let attempt_header =
-            if attempt > 0 { format!("X-Ceer-Attempt: {attempt}\r\n") } else { String::new() };
-        write!(
-            stream,
-            "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{attempt_header}Connection: close\r\n\r\n",
-            self.addr,
-            body.len()
-        )
-        .and_then(|()| stream.write_all(body))
-        .and_then(|()| stream.flush())
-        .map_err(|e| format!("cannot send request: {e}"))?;
-        read_response(&mut BufReader::new(stream))
+        let mut conn = ClientConn::new(self.addr);
+        conn.set_header("Connection", "close");
+        conn.request_with_retry(&self.retry, method, path, body)
     }
 
     fn post_json<Req, Resp>(&self, path: &str, request: &Req) -> Result<Resp, String>
@@ -277,13 +241,14 @@ impl Client {
 
 /// A keep-alive client connection: one TCP stream, many exchanges.
 ///
-/// The blocking [`crate::Server`] answers `Connection: close`, so this
-/// type earns its keep against [`crate::EventedServer`], which keeps
-/// successful connections open. A connection the server has since closed
-/// is re-established transparently — but only when the *send* failed
-/// (the request never reached the server); a failed *receive* surfaces
-/// as an error so [`ClientConn::request_with_retry`] can apply the
-/// idempotency rules.
+/// [`crate::EventedServer`] keeps successful connections open and closes
+/// after every error response, saying so with `Connection: close`; the
+/// stream is dropped after such a response and the next request
+/// connects afresh. A connection the server closed without saying so is
+/// re-established transparently — but only when the *send* failed (the
+/// request never reached the server); a failed *receive* surfaces as an
+/// error so [`ClientConn::request_with_retry`] can apply the idempotency
+/// rules.
 ///
 /// Headers set with [`ClientConn::set_header`] persist across requests
 /// on the connection — that is the point of reusing it — which is
@@ -343,8 +308,8 @@ impl ClientConn {
     }
 
     /// The wire bytes of one request, including the persistent headers.
-    /// No `Connection: close`: the server decides whether to keep the
-    /// connection (the evented transport does, on success).
+    /// No `Connection: close` unless set as a header: the server decides
+    /// whether to keep the connection (it does, on success).
     fn render(&self, method: &str, path: &str, body: &[u8]) -> Vec<u8> {
         let mut wire = format!(
             "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
@@ -386,33 +351,36 @@ impl ClientConn {
         body: &[u8],
     ) -> Result<RawResponse, String> {
         let wire = self.render(method, path, body);
-        if let Some(reader) = self.stream.as_mut() {
-            match Self::exchange(reader, &wire) {
-                Ok(response) => return Ok(response),
-                Err(ExchangeError::Send(_)) => self.stream = None, // stale: reconnect below
-                Err(ExchangeError::Recv(error)) => {
-                    self.stream = None;
-                    return Err(error);
+        let response = match self.stream.as_mut().map(|reader| Self::exchange(reader, &wire)) {
+            Some(Ok(response)) => response,
+            Some(Err(ExchangeError::Recv(error))) => {
+                self.stream = None;
+                return Err(error);
+            }
+            // No stream yet, or a stale one the request never reached.
+            Some(Err(ExchangeError::Send(_))) | None => {
+                let stream = TcpStream::connect(self.addr)
+                    .map_err(|e| format!("cannot connect to {}: {e}", self.addr))?;
+                let reader = self.stream.insert(BufReader::new(stream));
+                match Self::exchange(reader, &wire) {
+                    Ok(response) => response,
+                    Err(ExchangeError::Send(error) | ExchangeError::Recv(error)) => {
+                        self.stream = None;
+                        return Err(error);
+                    }
                 }
             }
+        };
+        if response.close {
+            self.stream = None;
         }
-        let stream = TcpStream::connect(self.addr)
-            .map_err(|e| format!("cannot connect to {}: {e}", self.addr))?;
-        let mut reader = BufReader::new(stream);
-        match Self::exchange(&mut reader, &wire) {
-            Ok(response) => {
-                self.stream = Some(reader);
-                Ok(response)
-            }
-            Err(ExchangeError::Send(error) | ExchangeError::Recv(error)) => Err(error),
-        }
+        Ok(response)
     }
 
-    /// [`ClientConn::request`] under a [`RetryPolicy`], mirroring
-    /// [`Client::request`]'s rules: transport failures retry only `GET`,
-    /// `429` sheds retry any method and honor `Retry-After`. Each retry
-    /// *replaces* the connection's `X-Ceer-Attempt` marker via
-    /// [`ClientConn::set_attempt`].
+    /// [`ClientConn::request`] under a [`RetryPolicy`]: transport failures
+    /// retry only `GET`, `429` sheds retry any method and honor
+    /// `Retry-After`. Each retry *replaces* the connection's
+    /// `X-Ceer-Attempt` marker via [`ClientConn::set_attempt`].
     ///
     /// # Errors
     ///

@@ -51,9 +51,9 @@ pub struct Conn {
     pub head_started_ms: Option<u64>,
     /// Requests fully answered on this connection (keep-alive count).
     pub requests_served: u64,
-    /// Skip the `IoError` counter when writing this response fails (the
-    /// blocking server only counts write failures of routed responses,
-    /// not best-effort error responses).
+    /// Skip the `IoError` counter when writing this response fails: only
+    /// write failures of routed responses count, not those of
+    /// best-effort error responses.
     pub silent_write_errors: bool,
     /// The last write hit `WouldBlock`; don't retry until the transport
     /// reports writable again.

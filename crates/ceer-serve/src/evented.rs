@@ -1,4 +1,4 @@
-//! The evented transport: every connection served from one thread by a
+//! The serve transport: every connection served from one thread by a
 //! readiness-driven loop over nonblocking sockets — accept, read, parse
 //! in place, dispatch, write — with a timer wheel for deadlines and
 //! automatic micro-batching of concurrent `/predict` requests.
@@ -6,26 +6,27 @@
 //! The loop ([`EventedCore`]) is written against
 //! [`ceer_sim::ready::EventSource`] + [`ceer_sim::Clock`] and never
 //! touches a socket or the wall clock directly. Under real TCP
-//! ([`EventedServer`]) those traits are epoll + nonblocking streams and
-//! a monotonic clock; under test they are
+//! ([`EventedServer`], Linux only) those traits are epoll + nonblocking
+//! streams and a monotonic clock; under test they are
 //! [`ceer_sim::SimSource`] + a virtual clock, and a whole
 //! slowloris-plus-flood chaos run becomes a pure function of
 //! `(seed, scenario)` — replayable byte for byte.
 //!
-//! Semantics match the blocking transport ([`crate::Server`]) wherever
-//! both can express them — same routes and bodies (shared [`App`]), same
-//! fault sites (`serve.accept`, `serve.dispatch`, `serve.http.read`,
-//! `serve.http.write`), same 4xx classification and robustness counters
-//! — plus what only an event loop can offer: HTTP keep-alive with
-//! pipelining, 10k+ concurrent connections on one core, and `/predict`
-//! coalescing ([`ServerConfig::batch_window_ms`]) that turns N
-//! concurrent cache misses into one `predict_batch`-style fan-out over
-//! the `ceer-par` pool with byte-identical per-request answers.
+//! Routes and bodies come from the shared [`App`]; faults land at the
+//! `serve.accept`, `serve.dispatch`, `serve.http.read` and
+//! `serve.http.write` sites; every 4xx and robustness event is counted.
+//! Connections are HTTP/1.1 keep-alive with pipelining, one loop thread
+//! holds 10k+ concurrent connections, and `/predict` coalescing
+//! ([`ServerConfig::batch_window_ms`]) turns N concurrent cache misses
+//! into one `predict_batch`-style fan-out over the `ceer-par` pool with
+//! byte-identical per-request answers. Everything else runs inline on
+//! the loop thread, so an uncached request holds up every other
+//! connection until it is answered.
 //!
 //! Timeout semantics: [`ServerConfig::read_timeout_ms`] bounds the gap
-//! between bytes (a stalled mid-request peer gets `408`; an idle
-//! keep-alive connection between requests is closed silently — a state
-//! the blocking one-request transport never had), and
+//! between bytes in either direction (a stalled mid-request peer gets
+//! `408`; an idle keep-alive connection between requests, or a peer that
+//! stops draining its response, is closed silently), and
 //! [`ServerConfig::request_timeout_ms`] bounds a whole request read.
 
 use std::collections::BTreeMap;
@@ -33,22 +34,70 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use ceer_faults::{FaultEvent, FaultKind};
+use ceer_faults::{FaultEvent, FaultKind, FaultPlan};
 use ceer_sim::ready::{EventSource, IoOutcome, Token, Wake};
 use ceer_sim::Clock;
 
 use crate::api;
 use crate::app::{canonical_route, App};
 use crate::conn::{Conn, ConnState};
-use crate::http::ReadError;
+use crate::http::{self, ReadError};
 use crate::metrics::ServerEvent;
 use crate::parser::{parse_head, Head};
 use crate::registry::ModelRegistry;
-use crate::server::ServerConfig;
 use crate::wheel::{TimerKind, TimerWheel};
 
-/// The knobs the event loop reads (a transport-neutral slice of
-/// [`ServerConfig`]).
+/// Server configuration for [`EventedServer::start`].
+#[derive(Debug, Clone)]
+pub struct ServerConfig {
+    /// Interface to bind.
+    pub host: String,
+    /// Port to bind (0 picks a free port; see [`EventedServer::addr`]).
+    pub port: u16,
+    /// Prediction-cache capacity in responses (0 disables caching).
+    pub cache_capacity: usize,
+    /// Longest tolerated gap between bytes received from, or drained
+    /// by, a peer, ms (0 disables).
+    pub read_timeout_ms: u64,
+    /// Total deadline for reading one request, ms (0 disables).
+    pub request_timeout_ms: u64,
+    /// Largest accepted request body in bytes; bigger requests get `413`.
+    pub max_body_bytes: usize,
+    /// Max open connections; connections beyond it are shed with `429` +
+    /// `Retry-After`.
+    pub max_pending: usize,
+    /// How long to hold a `/predict` cache miss waiting for more to
+    /// coalesce into one batched fan-out (0 = every request dispatches in
+    /// its own arrival iteration).
+    pub batch_window_ms: u64,
+    /// Seeded fault plan for chaos runs (`None` = no injection).
+    pub faults: Option<FaultPlan>,
+    /// Directory for crash-safe persistence (WAL + snapshots). `None`
+    /// serves purely from memory; `Some` recovers the registry and
+    /// online-engine state at boot and logs every state-changing
+    /// decision (see [`crate::durable`]).
+    pub data_dir: Option<std::path::PathBuf>,
+}
+
+impl Default for ServerConfig {
+    fn default() -> Self {
+        ServerConfig {
+            host: "127.0.0.1".to_string(),
+            port: 8100,
+            cache_capacity: 256,
+            read_timeout_ms: 5_000,
+            request_timeout_ms: 10_000,
+            max_body_bytes: http::MAX_BODY_BYTES,
+            max_pending: 128,
+            batch_window_ms: 0,
+            faults: None,
+            data_dir: None,
+        }
+    }
+}
+
+/// The knobs the event loop reads (the slice of [`ServerConfig`] the
+/// sim driver needs too).
 #[derive(Debug, Clone, Copy)]
 pub struct EventedConfig {
     /// Longest tolerated gap between received bytes, ms (0 disables):
@@ -242,8 +291,7 @@ impl<S: EventSource> EventedCore<S> {
     /// Runs `f(self, token)` with panic containment: a panic anywhere in
     /// one connection's handling (injected poison, a routing bug) closes
     /// that connection and bumps `panics_recovered` — the loop itself
-    /// must never die. The evented analogue of the blocking worker's
-    /// `catch_unwind`.
+    /// must never die.
     fn guarded(&mut self, token: Token, f: fn(&mut Self, Token)) {
         let outcome = catch_unwind(AssertUnwindSafe(|| f(self, token)));
         if outcome.is_err() {
@@ -277,8 +325,7 @@ impl<S: EventSource> EventedCore<S> {
                 continue;
             }
             if self.conns.len() >= self.cfg.max_conns {
-                // At capacity: shed with 429 + Retry-After, like the
-                // blocking acceptor when its queue is full.
+                // At capacity: shed with 429 + Retry-After.
                 let response = self.app.shed_response();
                 let mut conn = Conn::new(now);
                 conn.silent_write_errors = true;
@@ -353,9 +400,7 @@ impl<S: EventSource> EventedCore<S> {
             Act::Rearm(at) => self.wheel.schedule(at, TimerKind::Conn(token)),
             Act::Close => self.close_token(token),
             Act::Timeout => {
-                // Stalled mid-request (slowloris): 408, count, close —
-                // the same classification as the blocking reader's
-                // deadline.
+                // Stalled mid-request (slowloris): 408, count, close.
                 if let Some(response) = self.app.read_error_response(&ReadError::TimedOut) {
                     if let Some(conn) = self.conns.get_mut(&token) {
                         conn.silent_write_errors = true;
@@ -465,8 +510,8 @@ impl<S: EventSource> EventedCore<S> {
                     return;
                 }
                 Step::CloseIo => {
-                    // EOF mid-request: same silent close + io_errors
-                    // count as the blocking reader.
+                    // EOF mid-request: silent close, counted as an
+                    // I/O error.
                     let _ = self.app.read_error_response(&ReadError::Io(
                         "connection closed mid-request".to_string(),
                     ));
@@ -564,8 +609,7 @@ impl<S: EventSource> EventedCore<S> {
         match outcome {
             Outcome::Respond(response) => {
                 // Success keeps the connection alive (unless the request
-                // said close); every error response closes, like the
-                // blocking transport.
+                // said close); every error response closes.
                 let keep = head.keep_alive && !response.is_error();
                 if let Some(conn) = self.conns.get_mut(&token) {
                     conn.silent_write_errors = false;
@@ -787,9 +831,8 @@ fn examine(conn: &mut Conn, max_body_bytes: usize, now_ms: u64) -> Step {
     Step::Dispatch(head)
 }
 
-/// The evented server over real TCP: one loop thread on epoll (Linux).
-/// Same [`ServerConfig`], same [`App`], same endpoints as
-/// [`crate::Server`] — different transport.
+/// The server over real TCP: one loop thread on epoll, so serving is
+/// Linux-only. Every endpoint answers through the shared [`App`].
 pub struct EventedServer {
     addr: std::net::SocketAddr,
     stop: Arc<AtomicBool>,
@@ -813,8 +856,9 @@ impl EventedServer {
         let faults = config.faults.clone().map_or_else(ceer_faults::none, ceer_faults::injector);
         let app = Arc::new(App::new(registry, config.cache_capacity, faults));
         if let Some(data_dir) = &config.data_dir {
-            // Same boot policy as the blocking transport: recovery
-            // failure is fatal before the first connection is accepted.
+            // Recovery failure is fatal before the first connection is
+            // accepted: refusing to serve beats serving from state the
+            // directory contradicts.
             crate::durable::attach_fs_durability(&app, data_dir)?;
         }
         let clock: Arc<dyn Clock> = Arc::new(ceer_sim::SystemClock::new());
@@ -853,12 +897,11 @@ impl EventedServer {
         Ok(EventedServer { addr, stop, handle, app })
     }
 
-    /// Non-Linux hosts have no epoll backend; the sim driver still works
-    /// everywhere.
+    /// Non-Linux hosts have no epoll backend, so serving over TCP is
+    /// Linux-only; the sim driver still works everywhere.
     #[cfg(not(target_os = "linux"))]
     pub fn start(_config: &ServerConfig, _registry: ModelRegistry) -> Result<Self, String> {
-        Err("the evented transport requires Linux (epoll); use Server or the sim driver"
-            .to_string())
+        Err("serving requires Linux (epoll); only the sim driver runs elsewhere".to_string())
     }
 
     /// The bound address (useful with port 0).

@@ -1,40 +1,19 @@
-//! Minimal HTTP/1.1 framing over `std::net` — just enough for a JSON API:
-//! one request per connection (`Connection: close`), `Content-Length`
-//! bodies, no chunked encoding, no TLS.
+//! Minimal HTTP/1.1 framing — just enough for a JSON API:
+//! `Content-Length` bodies, no chunked encoding, no TLS.
 //!
-//! All reads are *bounded* (body and line limits) and *deadlined* (the
-//! caller passes a total-request deadline; per-call socket timeouts bound
-//! each syscall). A stalled or malicious peer therefore costs a worker at
-//! most the request deadline, never forever, and every failure mode is
-//! classified ([`ReadError`]) so the server can answer 400 vs 408 vs 413
-//! and count each kind.
+//! Requests are parsed by [`crate::parser`]; this module holds what both
+//! sides of the wire share around it: the classified request-read
+//! failures ([`ReadError`], so the server can answer 400 vs 408 vs 413
+//! and count each kind), response serialization ([`Response`]), and the
+//! client's bounded response reader ([`read_response`]).
 
 use std::io::{BufRead, Read, Write};
-use std::time::Instant;
 
 /// Default largest accepted request body; bigger requests are rejected
 /// before buffering (the JSON requests this API takes are a few hundred
 /// bytes). Override per server with
 /// [`crate::ServerConfig::max_body_bytes`].
 pub const MAX_BODY_BYTES: usize = 1 << 20;
-
-/// Largest accepted request-line/header line.
-const MAX_LINE_BYTES: usize = 8 * 1024;
-
-/// A parsed HTTP request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Request {
-    /// Request method, uppercased by the client (`GET`, `POST`, …).
-    pub method: String,
-    /// Request target path (query strings are kept verbatim).
-    pub path: String,
-    /// Request body (empty when no `Content-Length` was sent).
-    pub body: Vec<u8>,
-    /// Value of the `X-Ceer-Attempt` header (0 when absent): how many
-    /// times the client retried before this attempt, so the server can
-    /// count retried requests in its metrics.
-    pub retry_attempt: u32,
-}
 
 /// Why a request could not be read. Each variant maps to one response
 /// and one metrics counter in the server.
@@ -54,101 +33,6 @@ pub enum ReadError {
     TimedOut,
     /// The connection failed or closed mid-request — closed silently.
     Io(String),
-}
-
-/// Limits and deadline for reading one request.
-#[derive(Debug, Clone, Copy)]
-pub struct ReadBudget {
-    /// Largest accepted `Content-Length`.
-    pub max_body_bytes: usize,
-    /// Absolute deadline for the whole request read; `None` disables the
-    /// total deadline (per-read socket timeouts still apply).
-    pub deadline: Option<Instant>,
-}
-
-impl Default for ReadBudget {
-    fn default() -> Self {
-        ReadBudget { max_body_bytes: MAX_BODY_BYTES, deadline: None }
-    }
-}
-
-impl ReadBudget {
-    fn expired(&self) -> bool {
-        // Deadline enforcement for request reads; never feeds a prediction.
-        self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-}
-
-/// Reads one request from `reader` within `budget`.
-///
-/// Returns `Ok(None)` when the peer closed the connection before sending a
-/// request line (a clean no-request close, e.g. a health probe).
-///
-/// # Errors
-///
-/// Classified in [`ReadError`]; the caller picks the response and counter.
-pub fn read_request(
-    reader: &mut impl BufRead,
-    budget: &ReadBudget,
-) -> Result<Option<Request>, ReadError> {
-    let request_line = match read_line(reader, budget)? {
-        None => return Ok(None),
-        Some(line) => line,
-    };
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("").to_string();
-    let path = parts.next().unwrap_or("").to_string();
-    let version = parts.next().unwrap_or("");
-    if method.is_empty() || !path.starts_with('/') || !version.starts_with("HTTP/1.") {
-        return Err(ReadError::Malformed(format!("malformed request line {request_line:?}")));
-    }
-
-    let mut content_length = 0usize;
-    let mut retry_attempt = 0u32;
-    loop {
-        let line = read_line(reader, budget)?
-            .ok_or_else(|| ReadError::Io("connection closed mid-headers".to_string()))?;
-        if line.is_empty() {
-            break;
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(ReadError::Malformed(format!("malformed header line {line:?}")));
-        };
-        let name = name.trim();
-        if name.eq_ignore_ascii_case("content-length") {
-            content_length = value.trim().parse().map_err(|_| {
-                ReadError::Malformed(format!("bad Content-Length {:?}", value.trim()))
-            })?;
-            if content_length > budget.max_body_bytes {
-                return Err(ReadError::BodyTooLarge {
-                    declared: content_length,
-                    limit: budget.max_body_bytes,
-                });
-            }
-        } else if name.eq_ignore_ascii_case("x-ceer-attempt") {
-            // A client-side retry marker; unparsable values read as 0.
-            retry_attempt = value.trim().parse().unwrap_or(0);
-        }
-    }
-
-    let mut body = vec![0u8; content_length];
-    let mut filled = 0usize;
-    while filled < content_length {
-        if budget.expired() {
-            return Err(ReadError::TimedOut);
-        }
-        // `filled < content_length == body.len()`: the slice stays in range.
-        match reader.read(&mut body[filled..]) {
-            Ok(0) => {
-                return Err(ReadError::Io(format!(
-                    "connection closed mid-body ({filled}/{content_length} bytes)"
-                )))
-            }
-            Ok(n) => filled += n,
-            Err(e) => return Err(classify_io(&e)),
-        }
-    }
-    Ok(Some(Request { method, path, body, retry_attempt }))
 }
 
 /// Reads until EOF or `limit` bytes, whichever comes first, without ever
@@ -177,37 +61,6 @@ pub fn read_to_limit(reader: &mut impl Read, limit: usize) -> std::io::Result<Ve
         out.extend_from_slice(&chunk[..n]);
     }
     Ok(out)
-}
-
-/// Maps socket-timeout error kinds onto [`ReadError::TimedOut`]; anything
-/// else is a transport failure.
-fn classify_io(error: &std::io::Error) -> ReadError {
-    match error.kind() {
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => ReadError::TimedOut,
-        _ => ReadError::Io(format!("read error: {error}")),
-    }
-}
-
-/// Reads one CRLF- (or LF-) terminated line; `None` on immediate EOF.
-fn read_line(reader: &mut impl BufRead, budget: &ReadBudget) -> Result<Option<String>, ReadError> {
-    if budget.expired() {
-        return Err(ReadError::TimedOut);
-    }
-    let mut line = String::new();
-    let n = reader.read_line(&mut line).map_err(|e| classify_io(&e))?;
-    if n == 0 {
-        return Ok(None);
-    }
-    if budget.expired() {
-        return Err(ReadError::TimedOut);
-    }
-    if line.len() > MAX_LINE_BYTES {
-        return Err(ReadError::Malformed("header line too long".to_string()));
-    }
-    while line.ends_with('\n') || line.ends_with('\r') {
-        line.pop();
-    }
-    Ok(Some(line))
 }
 
 /// An HTTP response ready to serialize.
@@ -246,9 +99,8 @@ impl Response {
     }
 
     /// Serializes the full response. `keep_alive` picks the `Connection`
-    /// header: the blocking server always closes (`false`), the evented
-    /// server keeps successful connections open. Everything else is
-    /// byte-identical between the two.
+    /// header (`false` = `close`); everything else is the same either
+    /// way.
     pub fn to_bytes(&self, keep_alive: bool) -> Vec<u8> {
         let connection = if keep_alive { "keep-alive" } else { "close" };
         let mut out = format!(
@@ -281,8 +133,9 @@ impl Response {
 /// are all far smaller; this only bounds damage from a corrupted length).
 pub const MAX_RESPONSE_BYTES: usize = 1 << 24;
 
-/// A raw HTTP exchange as seen by a client: status code, body text, and
-/// the parsed `Retry-After` header (seconds) when the server sent one.
+/// A raw HTTP exchange as seen by a client: status code, body text, the
+/// parsed `Retry-After` header (seconds) when the server sent one, and
+/// whether the server closes the connection after this response.
 ///
 /// Shared by [`crate::Client`] and the `ceer-cluster` router so both
 /// sides of the wire agree on one parser.
@@ -294,10 +147,14 @@ pub struct RawResponse {
     pub body: String,
     /// Parsed `Retry-After` header, seconds (emitted on 429/503 sheds).
     pub retry_after: Option<u64>,
+    /// The server sent `Connection: close`: this response is the last
+    /// one on its connection (every error response, and every response
+    /// to a request that asked to close).
+    pub close: bool,
 }
 
 /// Reads one HTTP/1.1 response: status line, headers (`Content-Length`,
-/// `Retry-After`), then a bounded body read.
+/// `Retry-After`, `Connection`), then a bounded body read.
 ///
 /// # Errors
 ///
@@ -314,6 +171,7 @@ pub fn read_response(reader: &mut impl BufRead) -> Result<RawResponse, String> {
 
     let mut content_length: Option<usize> = None;
     let mut retry_after: Option<u64> = None;
+    let mut close = false;
     loop {
         let mut line = String::new();
         let n = reader.read_line(&mut line).map_err(|e| format!("cannot read header: {e}"))?;
@@ -329,6 +187,8 @@ pub fn read_response(reader: &mut impl BufRead) -> Result<RawResponse, String> {
                 // Unparsable values (e.g. an HTTP-date) read as absent —
                 // the client then falls back to its own backoff.
                 retry_after = value.trim().parse().ok();
+            } else if name.eq_ignore_ascii_case("connection") {
+                close = value.trim().eq_ignore_ascii_case("close");
             }
         }
     }
@@ -348,7 +208,7 @@ pub fn read_response(reader: &mut impl BufRead) -> Result<RawResponse, String> {
             .map_err(|e| format!("cannot read body: {e}"))?,
     };
     let body = String::from_utf8(body).map_err(|e| format!("non-UTF-8 body: {e}"))?;
-    Ok(RawResponse { status, body, retry_after })
+    Ok(RawResponse { status, body, retry_after, close })
 }
 
 /// The canonical reason phrase for the statuses this API emits.
@@ -371,97 +231,6 @@ fn reason(status: u16) -> &'static str {
 mod tests {
     use super::*;
     use std::io::BufReader;
-    use std::time::Duration;
-
-    fn parse(raw: &str) -> Result<Option<Request>, ReadError> {
-        read_request(&mut BufReader::new(raw.as_bytes()), &ReadBudget::default())
-    }
-
-    #[test]
-    fn parses_get_without_body() {
-        let req = parse("GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n").unwrap().unwrap();
-        assert_eq!(req.method, "GET");
-        assert_eq!(req.path, "/healthz");
-        assert!(req.body.is_empty());
-        assert_eq!(req.retry_attempt, 0);
-    }
-
-    #[test]
-    fn parses_post_with_content_length() {
-        let req = parse(
-            "POST /predict HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: 15\r\n\r\n{\"cnn\": \"vgg\"}x",
-        )
-        .unwrap()
-        .unwrap();
-        assert_eq!(req.method, "POST");
-        assert_eq!(req.body.len(), 15);
-    }
-
-    #[test]
-    fn retry_attempt_header_is_parsed() {
-        let req = parse("GET /healthz HTTP/1.1\r\nX-Ceer-Attempt: 2\r\n\r\n").unwrap().unwrap();
-        assert_eq!(req.retry_attempt, 2);
-        let req = parse("GET /healthz HTTP/1.1\r\nx-ceer-attempt: nope\r\n\r\n").unwrap().unwrap();
-        assert_eq!(req.retry_attempt, 0);
-    }
-
-    #[test]
-    fn empty_connection_is_a_clean_close() {
-        assert_eq!(parse("").unwrap(), None);
-    }
-
-    #[test]
-    fn garbage_is_malformed_not_a_panic() {
-        for raw in [
-            "not http at all\r\n\r\n",
-            "GET\r\n\r\n",
-            "GET /x HTTP/1.1\r\nContent-Length: huge\r\n\r\n",
-            "GET /x HTTP/1.1\r\nno-colon-here\r\n\r\n",
-        ] {
-            assert!(matches!(parse(raw), Err(ReadError::Malformed(_))), "{raw:?}");
-        }
-    }
-
-    #[test]
-    fn oversized_bodies_are_rejected_up_front() {
-        let raw = format!("POST /p HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY_BYTES + 1);
-        match parse(&raw) {
-            Err(ReadError::BodyTooLarge { declared, limit }) => {
-                assert_eq!(declared, MAX_BODY_BYTES + 1);
-                assert_eq!(limit, MAX_BODY_BYTES);
-            }
-            other => panic!("expected BodyTooLarge, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn per_server_body_limit_is_honoured() {
-        let budget = ReadBudget { max_body_bytes: 10, deadline: None };
-        let raw = "POST /p HTTP/1.1\r\nContent-Length: 11\r\n\r\nhello world";
-        let result = read_request(&mut BufReader::new(raw.as_bytes()), &budget);
-        assert!(matches!(result, Err(ReadError::BodyTooLarge { declared: 11, limit: 10 })));
-        let raw = "POST /p HTTP/1.1\r\nContent-Length: 10\r\n\r\nhello worl";
-        assert!(read_request(&mut BufReader::new(raw.as_bytes()), &budget).is_ok());
-    }
-
-    #[test]
-    fn truncated_body_errors() {
-        assert!(matches!(
-            parse("POST /p HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc"),
-            Err(ReadError::Io(_))
-        ));
-    }
-
-    #[test]
-    fn expired_deadline_times_out() {
-        let budget = ReadBudget {
-            max_body_bytes: MAX_BODY_BYTES,
-            deadline: Some(Instant::now() - Duration::from_millis(1)),
-        };
-        let raw = "GET /healthz HTTP/1.1\r\n\r\n";
-        let result = read_request(&mut BufReader::new(raw.as_bytes()), &budget);
-        assert_eq!(result, Err(ReadError::TimedOut));
-    }
 
     #[test]
     fn read_to_limit_caps_and_drains() {
@@ -502,6 +271,7 @@ mod tests {
         assert_eq!(response.status, 200);
         assert_eq!(response.body, "{\"ok\": true}");
         assert_eq!(response.retry_after, None);
+        assert!(response.close);
     }
 
     #[test]
@@ -511,6 +281,7 @@ mod tests {
         let response = read_response(&mut BufReader::new(&raw[..])).unwrap();
         assert_eq!(response.status, 429);
         assert_eq!(response.retry_after, Some(3));
+        assert!(!response.close, "no Connection header reads as keep-alive");
         // An HTTP-date (or garbage) falls back to None, not an error.
         let raw = b"HTTP/1.1 429 X\r\nContent-Length: 2\r\nRetry-After: Wed, 21 Oct\r\n\r\n{}";
         let response = read_response(&mut BufReader::new(&raw[..])).unwrap();
@@ -528,6 +299,9 @@ mod tests {
         assert_eq!(parsed.status, 429);
         assert_eq!(parsed.retry_after, Some(2));
         assert_eq!(parsed.body, "{\"error\": \"shed\"}\n");
+        assert!(parsed.close);
+        let kept = Response::json(200, "{}").to_bytes(true);
+        assert!(!read_response(&mut BufReader::new(&kept[..])).unwrap().close);
     }
 
     #[test]

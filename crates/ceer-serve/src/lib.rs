@@ -5,24 +5,27 @@
 //!
 //! * [`ModelRegistry`] — the fitted [`ceer_core::CeerModel`] being served,
 //!   hot-swappable via `POST /reload` without dropping in-flight requests;
-//! * [`Server`] — an acceptor thread feeding a fixed worker pool over a
-//!   channel, with graceful [`Server::shutdown`];
+//! * [`EventedServer`] — one loop thread serving every connection from
+//!   `epoll` (Linux only), with keep-alive, `/predict` micro-batching,
+//!   and graceful [`EventedServer::shutdown`];
 //! * [`PredictionCache`] — an LRU of serialized responses keyed by the
 //!   canonical request (predictions are pure in `(model, request)`);
 //! * [`Metrics`] — per-endpoint request/error counts and latency quantiles
 //!   (via `ceer-stats`), exposed at `GET /metrics`, plus
 //!   [`RobustnessCounters`] accounting every shed, timed-out, rejected,
 //!   or panic-recovered request;
-//! * [`Client`] — a blocking client for tests and scripts, with an
-//!   optional seeded [`RetryPolicy`] (idempotent-only retries, capped
-//!   exponential backoff).
+//! * [`Client`] and [`ClientConn`] — blocking clients for tests and
+//!   scripts (one connection per call, or one kept-alive connection),
+//!   with an optional seeded [`RetryPolicy`] (idempotent-only retries,
+//!   capped exponential backoff).
 //!
 //! # Robustness
 //!
-//! The server reads requests under per-read socket timeouts, a total
-//! request deadline, and a body-size limit; sheds load with `429` +
-//! `Retry-After` when the bounded pending queue fills; recovers worker
-//! panics; and keeps the previous model serving when a `/reload` fails.
+//! The server reads requests under an idle timeout, a total request
+//! deadline, and a body-size limit; sheds load with `429` +
+//! `Retry-After` past its open-connection cap; contains a panic to the
+//! connection that raised it; and keeps the previous model serving when
+//! a `/reload` fails.
 //! All hot paths carry [`ceer_faults`] injection sites so chaos tests can
 //! replay failures deterministically from a seed
 //! ([`ServerConfig::faults`]).
@@ -46,10 +49,10 @@
 //! byte-identical to the corresponding response body.
 //!
 //! ```no_run
-//! use ceer_serve::{ModelRegistry, Server, ServerConfig};
+//! use ceer_serve::{EventedServer, ModelRegistry, ServerConfig};
 //!
 //! let registry = ModelRegistry::load("model.json").unwrap();
-//! let server = Server::start(&ServerConfig::default(), registry).unwrap();
+//! let server = EventedServer::start(&ServerConfig::default(), registry).unwrap();
 //! println!("listening on http://{}", server.addr());
 //! server.wait();
 //! ```
@@ -68,7 +71,6 @@ pub mod metrics;
 pub mod online;
 pub mod parser;
 pub mod registry;
-pub mod server;
 mod sync;
 pub mod wheel;
 
@@ -79,7 +81,7 @@ pub use durable::{
     attach_fs_durability, DurabilityStatus, HealthReport, RecoveryInfo, ServeDurability,
     ServePayload, DEFAULT_SNAPSHOT_EVERY,
 };
-pub use evented::EventedServer;
+pub use evented::{EventedServer, ServerConfig};
 pub use http::RawResponse;
 pub use metrics::{
     EndpointSnapshot, LatencySummary, Metrics, MetricsSnapshot, OnlineMetrics, RobustnessCounters,
@@ -88,4 +90,3 @@ pub use metrics::{
 pub use online::{replay, OnlineState, OnlineWorker, ReplayConfig, ReplayReport};
 pub use parser::{Head, ParseError, RequestRef};
 pub use registry::{ModelRegistry, ModelVersion, RegistrySnapshot};
-pub use server::{Server, ServerConfig};

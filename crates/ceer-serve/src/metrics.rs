@@ -64,7 +64,8 @@ pub struct RobustnessCounters {
     pub retried_requests: u64,
     /// `POST /reload` attempts that failed (old model kept serving).
     pub reload_failures: u64,
-    /// Worker panics caught and recovered without losing the worker.
+    /// Panics caught while handling one connection; that connection
+    /// closed and the server kept serving.
     pub panics_recovered: u64,
 }
 
@@ -120,7 +121,8 @@ pub enum ServerEvent {
     RetriedRequest,
     /// Model reload failed; previous model kept serving.
     ReloadFailure,
-    /// A worker panic was caught and the worker kept serving.
+    /// A panic was contained to its connection and the server kept
+    /// serving.
     PanicRecovered,
 }
 
@@ -131,7 +133,7 @@ struct EndpointStats {
     latencies_us: VecDeque<f64>,
 }
 
-/// Thread-safe metrics accumulator shared by all workers.
+/// Thread-safe metrics accumulator, one per [`crate::App`].
 #[derive(Default)]
 pub struct Metrics {
     endpoints: Mutex<BTreeMap<String, EndpointStats>>,

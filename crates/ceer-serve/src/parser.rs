@@ -1,8 +1,8 @@
-//! Zero-copy incremental HTTP/1.1 request parsing for the evented server.
+//! Zero-copy incremental HTTP/1.1 request parsing: the one request parser
+//! of the server and of the cluster gateway.
 //!
-//! The blocking server reads through `BufReader` line by line
-//! ([`crate::http::read_request`]); the event loop cannot block, so this
-//! module parses whatever bytes have arrived so far *in place*:
+//! The event loop cannot block, so this module parses whatever bytes
+//! have arrived so far *in place*:
 //! [`parse_head`] scans the connection's receive buffer and either
 //! reports the head incomplete (`Ok(None)` — wait for more bytes), fully
 //! parsed ([`Head`], byte offsets into the buffer, no allocation beyond
@@ -10,17 +10,18 @@
 //! Once `buffer.len() >= head.total_len()`, [`Head::request`] yields a
 //! [`RequestRef`] borrowing method/path/body straight out of the buffer.
 //!
-//! Semantics deliberately mirror the buffered reader so the two
-//! transports answer identically (pinned by `tests/http_parser_prop.rs`):
-//! LF or CRLF line endings, whitespace-split request line, `HTTP/1.`
-//! version prefix, absolute path, last-wins `Content-Length` checked
-//! against the body cap at header-parse time, `X-Ceer-Attempt` read
-//! leniently, the same per-line length cap, and the same error strings.
-//! Two knowing divergences, both at the margins of what a blocking
-//! `read_line` can express: a non-UTF-8 head is `Malformed` here (400)
-//! where the old reader saw an I/O error and closed silently, and bytes
-//! that end without a line terminator are "incomplete" here (the state
-//! machine closes on EOF) where the old reader parsed the partial line.
+//! Semantics are pinned to a line-based reference reader (a `BufRead`
+//! over the request, kept in `tests/http_parser_prop.rs`, which compares
+//! the two on generated input): LF or CRLF line endings, whitespace-split
+//! request line, `HTTP/1.` version prefix, absolute path, last-wins
+//! `Content-Length` checked against the body cap at header-parse time,
+//! `X-Ceer-Attempt` read leniently, the same per-line length cap, and
+//! the same error strings. Two knowing divergences, both at the margins
+//! of what a blocking `read_line` can express: a non-UTF-8 head is
+//! `Malformed` here (400) where the reference sees an I/O error, and
+//! bytes that end without a line terminator are "incomplete" here (the
+//! state machine closes on EOF) where the reference parses the partial
+//! line.
 
 use crate::http::ReadError;
 
@@ -30,12 +31,12 @@ use crate::http::ReadError;
 pub const MAX_HEAD_BYTES: usize = 64 * 1024;
 
 /// Largest accepted request-line/header line, *including* its
-/// terminator — the same arithmetic as the blocking reader, which
-/// measured `read_line`'s output before stripping `\r\n`.
+/// terminator — the same arithmetic as the reference reader, which
+/// measures `read_line`'s output before stripping `\r\n`.
 const MAX_LINE_BYTES: usize = 8 * 1024;
 
 /// Why a head cannot parse. Maps onto the matching [`ReadError`]
-/// variants so both transports classify identically.
+/// variants, which pick the response and the counter.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseError {
     /// Syntactically broken — answered with 400.
@@ -145,7 +146,7 @@ fn line_str<'a>(buf: &'a [u8], line: &Line) -> Result<&'a str, ParseError> {
 }
 
 /// ASCII-whitespace-separated tokens of `s` as subranges of `[base, …)`.
-/// (The blocking reader used `split_whitespace`; request lines are ASCII
+/// (The reference reader uses `split_whitespace`; request lines are ASCII
 /// in practice, and non-UTF-8 heads were already rejected above.)
 fn tokens(s: &str, base: usize) -> Vec<(usize, usize)> {
     let bytes = s.as_bytes();
@@ -174,7 +175,7 @@ fn tokens(s: &str, base: usize) -> Vec<(usize, usize)> {
 ///
 /// # Errors
 ///
-/// [`ParseError::Malformed`] for anything the blocking reader answered
+/// [`ParseError::Malformed`] for anything the reference reader answers
 /// 400 to, [`ParseError::BodyTooLarge`] for a declared body over
 /// `max_body_bytes` — both checked as soon as the offending line is
 /// complete, before the body arrives.

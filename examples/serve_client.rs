@@ -11,7 +11,7 @@
 
 use ceer::model::{Ceer, EstimateOptions, FitConfig};
 use ceer::serve::api::{PredictRequest, RecommendRequest};
-use ceer::serve::{Client, ModelRegistry, Server, ServerConfig};
+use ceer::serve::{Client, EventedServer, ModelRegistry, ServerConfig};
 
 fn main() {
     // 1. Fit a model (fewer iterations than the paper's 1,000 keep the
@@ -20,7 +20,7 @@ fn main() {
     //    to 8100).
     let model = Ceer::fit(&FitConfig { iterations: 20, ..FitConfig::default() });
     let config = ServerConfig { port: 0, ..ServerConfig::default() };
-    let server = Server::start(&config, ModelRegistry::from_model(model)).expect("bind");
+    let server = EventedServer::start(&config, ModelRegistry::from_model(model)).expect("bind");
     println!("serving on http://{}", server.addr());
 
     // 2. Predict over HTTP. The response is exactly what the library's
@@ -86,7 +86,7 @@ fn main() {
         metrics.cache.hit_rate * 100.0
     );
 
-    // 5. Graceful shutdown: stop accepting, drain, join every thread.
+    // 5. Graceful shutdown: stop accepting, drain, join the loop thread.
     server.shutdown();
     println!("\nserver stopped");
 }

@@ -18,6 +18,10 @@
 # seeds plus one randomized, printed seed), and a stress loop repeats
 # the serve concurrency tests — under a nonzero delay-only fault plan —
 # to shake out scheduling-dependent races.
+#
+# The benchmark under perfbench/ is a workspace of its own, so
+# `--workspace` never compiles it; it gets its own build step, because a
+# ceer-serve API change can break it.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -31,6 +35,9 @@ echo "=== cargo build --release ==="
 # --workspace: the root manifest is a package, so a bare build would skip
 # the other crates (including the `ceer` binary the lint gate runs).
 cargo build --release --workspace
+
+echo "=== cargo build --release (perfbench) ==="
+cargo build --release --manifest-path perfbench/Cargo.toml
 
 echo "=== ceer lint (empty baseline, SARIF artifact, 10s budget) ==="
 # The workspace static-analysis pass must report nothing: `--json` prints
@@ -127,8 +134,9 @@ CEER_DURABLE_SEED="$durable_rand_seed" cargo test -q --test durable_recovery \
 echo "durable crash sweep passed (seeds 7, 1234, $durable_rand_seed)"
 
 echo "=== serve concurrency stress (20x, delay-fault plan) ==="
-# Delay-only injection perturbs worker scheduling without failing any
-# request, so the byte-identity assertions must keep holding under it.
+# Delay-only injection stalls the event loop and reorders when client
+# threads get their answers, without failing any request, so the
+# byte-identity assertions must keep holding under it.
 for i in $(seq 1 20); do
     CEER_FAULT_PLAN="serve.dispatch=delay:2@0.2;serve.http.read=delay:1@0.1" \
     CEER_FAULT_SEED="$i" cargo test -q --test serve concurrent \

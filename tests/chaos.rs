@@ -1,4 +1,4 @@
-//! Chaos suite for the evented transport: a real epoll-backed
+//! Chaos suite for the server: a real epoll-backed
 //! `ceer-serve` server on an OS-assigned port, killed on purpose through
 //! seeded fault plans — plus fully simulated scenarios (the `sim_`
 //! tests) that drive the *same* event-loop state machines through
@@ -17,8 +17,6 @@
 //! same shape: the server answers (or closes) within its deadlines,
 //! keeps serving afterwards, and its robustness counters account for
 //! every shed, timed-out, and errored request.
-//!
-//! The blocking transport keeps its own coverage in `tests/serve.rs`.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -64,7 +62,6 @@ fn start(faults: Option<FaultPlan>, tweak: impl FnOnce(&mut ServerConfig)) -> Ev
     let mut config = ServerConfig {
         host: "127.0.0.1".to_string(),
         port: 0,
-        workers: 2,
         cache_capacity: 16,
         faults,
         ..ServerConfig::default()
@@ -227,7 +224,6 @@ fn reload_races_with_a_failing_disk_never_corrupt_the_served_model() {
     let config = ServerConfig {
         host: "127.0.0.1".to_string(),
         port: 0,
-        workers: 3,
         cache_capacity: 16,
         faults: Some(plan("serve.reload.read=err@0.5")),
         ..ServerConfig::default()

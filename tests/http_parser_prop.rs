@@ -1,7 +1,9 @@
 //! Property tests for the zero-copy HTTP/1.1 head parser
-//! (`ceer_serve::parser`) against the original buffered reader
-//! (`ceer_serve::http::read_request`), which remains the blocking
-//! transport's parser and the behavioral reference.
+//! (`ceer_serve::parser`) against a line-based reference reader
+//! ([`read_request`], defined below): a `BufRead` loop that reads the
+//! request line, then header lines, then the declared body, under a
+//! body cap and an optional deadline. It is the behavioral reference the
+//! parser is pinned to, and its own unit tests live at the bottom.
 //!
 //! Three families of properties:
 //!
@@ -9,18 +11,19 @@
 //!   panic the parser and never parse a prefix inconsistently with the
 //!   whole;
 //! * **equivalence** — on generated *valid* requests, the zero-copy view
-//!   is field-for-field identical to the old reader's owned `Request`;
+//!   is field-for-field identical to the reference's owned `Request`;
 //! * **error parity** — generated *malformed* requests fail both parsers
 //!   with the same classification (the same 4xx) and the same message.
 //!
 //! One documented divergence is pinned by a regression test rather than
 //! a property: a non-UTF-8 head is `Malformed` (400) for the zero-copy
-//! parser but a silent I/O close for the old line reader, which lost the
+//! parser but an I/O failure for the line reader, which loses the
 //! information inside `read_line`.
 
-use std::io::BufReader;
+use std::io::{BufRead, BufReader};
+use std::time::Instant;
 
-use ceer::serve::http::{read_request, ReadBudget, ReadError};
+use ceer::serve::http::{ReadError, MAX_BODY_BYTES};
 use ceer::serve::parser::parse_head;
 use proptest::prelude::*;
 
@@ -43,7 +46,7 @@ fn budget() -> ReadBudget {
 }
 
 /// Runs the reference reader over raw bytes.
-fn reference(bytes: &[u8]) -> Result<Option<ceer::serve::http::Request>, ReadError> {
+fn reference(bytes: &[u8]) -> Result<Option<Request>, ReadError> {
     read_request(&mut BufReader::new(bytes), &budget())
 }
 
@@ -53,7 +56,7 @@ fn string_of(charset: &'static [u8], len: std::ops::Range<usize>) -> impl Strate
         .prop_map(move |ix| ix.into_iter().map(|i| charset[i] as char).collect())
 }
 
-/// A plausible HTTP method (the old reader accepts any non-empty token).
+/// A plausible HTTP method (the reference accepts any non-empty token).
 fn method_strategy() -> impl Strategy<Value = String> {
     prop_oneof![
         Just("GET".to_string()),
@@ -137,8 +140,8 @@ proptest! {
         }
     }
 
-    /// On valid requests the zero-copy view equals the old reader's
-    /// owned request, field for field.
+    /// On valid requests the zero-copy view equals the reference's owned
+    /// request, field for field.
     #[test]
     fn valid_requests_parse_identically(bytes in valid_request_strategy()) {
         let old = reference(&bytes)
@@ -226,11 +229,11 @@ proptest! {
     }
 }
 
-/// The one documented divergence: a non-UTF-8 request head. The old
-/// line-based reader loses the parse inside `read_line` and reports a
-/// generic I/O failure (silent close); the zero-copy parser sees the
-/// bytes and classifies them as malformed (400). Pinned here so a future
-/// refactor changes it knowingly.
+/// The one documented divergence: a non-UTF-8 request head. The
+/// line-based reference loses the parse inside `read_line` and reports a
+/// generic I/O failure; the zero-copy parser sees the bytes and
+/// classifies them as malformed (400). Pinned here so a future refactor
+/// changes it knowingly.
 #[test]
 fn non_utf8_heads_are_malformed_for_the_zero_copy_parser() {
     let bytes = b"GET /\xff\xfe HTTP/1.1\r\n\r\n";
@@ -245,6 +248,249 @@ fn non_utf8_heads_are_malformed_for_the_zero_copy_parser() {
     }
     assert!(
         matches!(reference(bytes), Err(ReadError::Io(_))),
-        "the old reader reports non-UTF-8 as an I/O failure"
+        "the reference reports non-UTF-8 as an I/O failure"
     );
+}
+
+// ---------------------------------------------------------------------------
+// The reference reader, and its own unit tests.
+// ---------------------------------------------------------------------------
+
+/// Largest accepted request-line/header line.
+const MAX_LINE_BYTES: usize = 8 * 1024;
+
+/// A parsed HTTP request.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Request {
+    /// Request method, uppercased by the client (`GET`, `POST`, …).
+    pub method: String,
+    /// Request target path (query strings are kept verbatim).
+    pub path: String,
+    /// Request body (empty when no `Content-Length` was sent).
+    pub body: Vec<u8>,
+    /// Value of the `X-Ceer-Attempt` header (0 when absent): how many
+    /// times the client retried before this attempt, so the server can
+    /// count retried requests in its metrics.
+    pub retry_attempt: u32,
+}
+
+/// Limits and deadline for reading one request.
+#[derive(Debug, Clone, Copy)]
+pub struct ReadBudget {
+    /// Largest accepted `Content-Length`.
+    pub max_body_bytes: usize,
+    /// Absolute deadline for the whole request read; `None` disables the
+    /// total deadline (per-read socket timeouts still apply).
+    pub deadline: Option<Instant>,
+}
+
+impl Default for ReadBudget {
+    fn default() -> Self {
+        ReadBudget { max_body_bytes: MAX_BODY_BYTES, deadline: None }
+    }
+}
+
+impl ReadBudget {
+    fn expired(&self) -> bool {
+        // Deadline enforcement for request reads; never feeds a prediction.
+        self.deadline.is_some_and(|d| Instant::now() >= d)
+    }
+}
+
+/// Reads one request from `reader` within `budget`.
+///
+/// Returns `Ok(None)` when the peer closed the connection before sending a
+/// request line (a clean no-request close, e.g. a health probe).
+///
+/// # Errors
+///
+/// Classified in [`ReadError`]; the caller picks the response and counter.
+pub fn read_request(
+    reader: &mut impl BufRead,
+    budget: &ReadBudget,
+) -> Result<Option<Request>, ReadError> {
+    let request_line = match read_line(reader, budget)? {
+        None => return Ok(None),
+        Some(line) => line,
+    };
+    let mut parts = request_line.split_whitespace();
+    let method = parts.next().unwrap_or("").to_string();
+    let path = parts.next().unwrap_or("").to_string();
+    let version = parts.next().unwrap_or("");
+    if method.is_empty() || !path.starts_with('/') || !version.starts_with("HTTP/1.") {
+        return Err(ReadError::Malformed(format!("malformed request line {request_line:?}")));
+    }
+
+    let mut content_length = 0usize;
+    let mut retry_attempt = 0u32;
+    loop {
+        let line = read_line(reader, budget)?
+            .ok_or_else(|| ReadError::Io("connection closed mid-headers".to_string()))?;
+        if line.is_empty() {
+            break;
+        }
+        let Some((name, value)) = line.split_once(':') else {
+            return Err(ReadError::Malformed(format!("malformed header line {line:?}")));
+        };
+        let name = name.trim();
+        if name.eq_ignore_ascii_case("content-length") {
+            content_length = value.trim().parse().map_err(|_| {
+                ReadError::Malformed(format!("bad Content-Length {:?}", value.trim()))
+            })?;
+            if content_length > budget.max_body_bytes {
+                return Err(ReadError::BodyTooLarge {
+                    declared: content_length,
+                    limit: budget.max_body_bytes,
+                });
+            }
+        } else if name.eq_ignore_ascii_case("x-ceer-attempt") {
+            // A client-side retry marker; unparsable values read as 0.
+            retry_attempt = value.trim().parse().unwrap_or(0);
+        }
+    }
+
+    let mut body = vec![0u8; content_length];
+    let mut filled = 0usize;
+    while filled < content_length {
+        if budget.expired() {
+            return Err(ReadError::TimedOut);
+        }
+        // `filled < content_length == body.len()`: the slice stays in range.
+        match reader.read(&mut body[filled..]) {
+            Ok(0) => {
+                return Err(ReadError::Io(format!(
+                    "connection closed mid-body ({filled}/{content_length} bytes)"
+                )))
+            }
+            Ok(n) => filled += n,
+            Err(e) => return Err(classify_io(&e)),
+        }
+    }
+    Ok(Some(Request { method, path, body, retry_attempt }))
+}
+
+/// Maps socket-timeout error kinds onto [`ReadError::TimedOut`]; anything
+/// else is a transport failure.
+fn classify_io(error: &std::io::Error) -> ReadError {
+    match error.kind() {
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => ReadError::TimedOut,
+        _ => ReadError::Io(format!("read error: {error}")),
+    }
+}
+
+/// Reads one CRLF- (or LF-) terminated line; `None` on immediate EOF.
+fn read_line(reader: &mut impl BufRead, budget: &ReadBudget) -> Result<Option<String>, ReadError> {
+    if budget.expired() {
+        return Err(ReadError::TimedOut);
+    }
+    let mut line = String::new();
+    let n = reader.read_line(&mut line).map_err(|e| classify_io(&e))?;
+    if n == 0 {
+        return Ok(None);
+    }
+    if budget.expired() {
+        return Err(ReadError::TimedOut);
+    }
+    if line.len() > MAX_LINE_BYTES {
+        return Err(ReadError::Malformed("header line too long".to_string()));
+    }
+    while line.ends_with('\n') || line.ends_with('\r') {
+        line.pop();
+    }
+    Ok(Some(line))
+}
+
+mod reference_reader_tests {
+    use super::*;
+    use std::time::Duration;
+
+    fn parse(raw: &str) -> Result<Option<Request>, ReadError> {
+        read_request(&mut BufReader::new(raw.as_bytes()), &ReadBudget::default())
+    }
+
+    #[test]
+    fn parses_get_without_body() {
+        let req = parse("GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n").unwrap().unwrap();
+        assert_eq!(req.method, "GET");
+        assert_eq!(req.path, "/healthz");
+        assert!(req.body.is_empty());
+        assert_eq!(req.retry_attempt, 0);
+    }
+
+    #[test]
+    fn parses_post_with_content_length() {
+        let req = parse(
+            "POST /predict HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: 15\r\n\r\n{\"cnn\": \"vgg\"}x",
+        )
+        .unwrap()
+        .unwrap();
+        assert_eq!(req.method, "POST");
+        assert_eq!(req.body.len(), 15);
+    }
+
+    #[test]
+    fn retry_attempt_header_is_parsed() {
+        let req = parse("GET /healthz HTTP/1.1\r\nX-Ceer-Attempt: 2\r\n\r\n").unwrap().unwrap();
+        assert_eq!(req.retry_attempt, 2);
+        let req = parse("GET /healthz HTTP/1.1\r\nx-ceer-attempt: nope\r\n\r\n").unwrap().unwrap();
+        assert_eq!(req.retry_attempt, 0);
+    }
+
+    #[test]
+    fn empty_connection_is_a_clean_close() {
+        assert_eq!(parse("").unwrap(), None);
+    }
+
+    #[test]
+    fn garbage_is_malformed_not_a_panic() {
+        for raw in [
+            "not http at all\r\n\r\n",
+            "GET\r\n\r\n",
+            "GET /x HTTP/1.1\r\nContent-Length: huge\r\n\r\n",
+            "GET /x HTTP/1.1\r\nno-colon-here\r\n\r\n",
+        ] {
+            assert!(matches!(parse(raw), Err(ReadError::Malformed(_))), "{raw:?}");
+        }
+    }
+
+    #[test]
+    fn oversized_bodies_are_rejected_up_front() {
+        let raw = format!("POST /p HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY_BYTES + 1);
+        match parse(&raw) {
+            Err(ReadError::BodyTooLarge { declared, limit }) => {
+                assert_eq!(declared, MAX_BODY_BYTES + 1);
+                assert_eq!(limit, MAX_BODY_BYTES);
+            }
+            other => panic!("expected BodyTooLarge, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn per_server_body_limit_is_honoured() {
+        let budget = ReadBudget { max_body_bytes: 10, deadline: None };
+        let raw = "POST /p HTTP/1.1\r\nContent-Length: 11\r\n\r\nhello world";
+        let result = read_request(&mut BufReader::new(raw.as_bytes()), &budget);
+        assert!(matches!(result, Err(ReadError::BodyTooLarge { declared: 11, limit: 10 })));
+        let raw = "POST /p HTTP/1.1\r\nContent-Length: 10\r\n\r\nhello worl";
+        assert!(read_request(&mut BufReader::new(raw.as_bytes()), &budget).is_ok());
+    }
+
+    #[test]
+    fn truncated_body_errors() {
+        assert!(matches!(
+            parse("POST /p HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc"),
+            Err(ReadError::Io(_))
+        ));
+    }
+
+    #[test]
+    fn expired_deadline_times_out() {
+        let budget = ReadBudget {
+            max_body_bytes: MAX_BODY_BYTES,
+            deadline: Some(Instant::now() - Duration::from_millis(1)),
+        };
+        let raw = "GET /healthz HTTP/1.1\r\n\r\n";
+        let result = read_request(&mut BufReader::new(raw.as_bytes()), &budget);
+        assert_eq!(result, Err(ReadError::TimedOut));
+    }
 }

@@ -1,12 +1,12 @@
 //! Integration tests for the `ceer-serve` prediction service: a real server
-//! on an OS-assigned port, exercised through the blocking client.
+//! on an OS-assigned port, exercised through the blocking clients.
 
 use std::net::TcpStream;
 use std::sync::OnceLock;
 
 use ceer::model::{Ceer, CeerModel, FitConfig};
 use ceer::serve::api::{self, PredictRequest, RecommendRequest};
-use ceer::serve::{Client, ModelRegistry, Server, ServerConfig};
+use ceer::serve::{Client, ClientConn, EventedServer, ModelRegistry, ServerConfig};
 use ceer_graph::models::CnnId;
 
 use proptest::prelude::*;
@@ -25,7 +25,7 @@ fn model() -> &'static CeerModel {
     })
 }
 
-fn start(cache_capacity: usize) -> Server {
+fn start(cache_capacity: usize) -> EventedServer {
     // Honour CEER_FAULT_PLAN/CEER_FAULT_SEED so the CI stress loop can run
     // this whole suite under a (delay-only) fault plan; a typo'd plan fails
     // loudly here instead of silently injecting nothing.
@@ -33,12 +33,12 @@ fn start(cache_capacity: usize) -> Server {
     let config = ServerConfig {
         host: "127.0.0.1".to_string(),
         port: 0,
-        workers: 4,
         cache_capacity,
         faults,
         ..ServerConfig::default()
     };
-    Server::start(&config, ModelRegistry::from_model(model().clone())).expect("server starts")
+    EventedServer::start(&config, ModelRegistry::from_model(model().clone()))
+        .expect("server starts")
 }
 
 fn predict_request(cnn: &str) -> PredictRequest {
@@ -60,9 +60,9 @@ fn concurrent_predictions_are_byte_identical_and_hit_the_cache() {
     let expected_body =
         serde_json::to_string_pretty(&api::predict(model(), &request).unwrap()).unwrap() + "\n";
 
-    // Warm the cache with one serial request: without it, up to `workers`
-    // concurrent cold requests can all miss before the first insert lands,
-    // making the hit count below timing-dependent.
+    // Warm the cache with one serial request: without it, concurrent cold
+    // requests can all miss before the first insert lands, making the hit
+    // count below timing-dependent.
     let warmup = client
         .request("POST", "/predict", serde_json::to_string(&request).unwrap().as_bytes())
         .unwrap();
@@ -172,11 +172,10 @@ fn reload_swaps_the_model_and_clears_the_cache() {
     let config = ServerConfig {
         host: "127.0.0.1".to_string(),
         port: 0,
-        workers: 2,
         cache_capacity: 64,
         ..ServerConfig::default()
     };
-    let server = Server::start(&config, ModelRegistry::load(&path).unwrap()).unwrap();
+    let server = EventedServer::start(&config, ModelRegistry::load(&path).unwrap()).unwrap();
     let client = Client::new(server.addr());
 
     let request = predict_request("vgg-11");
@@ -212,13 +211,12 @@ fn oversized_bodies_answer_413_and_are_counted() {
     let config = ServerConfig {
         host: "127.0.0.1".to_string(),
         port: 0,
-        workers: 2,
         cache_capacity: 16,
         max_body_bytes: 64,
         ..ServerConfig::default()
     };
-    let server =
-        Server::start(&config, ModelRegistry::from_model(model().clone())).expect("server starts");
+    let server = EventedServer::start(&config, ModelRegistry::from_model(model().clone()))
+        .expect("server starts");
     let client = Client::new(server.addr());
 
     let huge = vec![b'x'; 65];
@@ -252,6 +250,32 @@ fn malformed_requests_are_counted() {
     server.shutdown();
 }
 
+/// Regression: the server closes the connection after every error
+/// response and says so with `Connection: close`. A keep-alive client
+/// that held on to the closed stream failed the next request with
+/// `malformed status line ""`; it must reconnect instead.
+#[test]
+fn keep_alive_client_reconnects_after_an_error_closes_the_connection() {
+    let server = start(16);
+    let mut conn = ClientConn::new(server.addr());
+    assert_eq!(conn.request("GET", "/healthz", b"").unwrap().status, 200);
+    assert_eq!(conn.request("POST", "/predict", b"this is not json").unwrap().status, 400);
+    let failed: Vec<String> = (0..20)
+        .filter_map(|_| match conn.request("GET", "/healthz", b"") {
+            Ok(response) if response.status == 200 => None,
+            Ok(response) => Some(format!("status {}", response.status)),
+            Err(error) => Some(error),
+        })
+        .collect();
+    assert!(
+        failed.is_empty(),
+        "{} of 20 requests after the error failed: {failed:?}",
+        failed.len()
+    );
+    assert!(conn.connected(), "successes keep the new connection open");
+    server.shutdown();
+}
+
 /// `POST /reload` failure paths: a corrupt, truncated, or wrong-schema
 /// model file must leave the previous model serving, answer a structured
 /// error, and increment the reload-failure counter — for every flavor of
@@ -265,11 +289,10 @@ fn failed_reloads_keep_the_old_model_serving() {
     let config = ServerConfig {
         host: "127.0.0.1".to_string(),
         port: 0,
-        workers: 2,
         cache_capacity: 16,
         ..ServerConfig::default()
     };
-    let server = Server::start(&config, ModelRegistry::load(&path).unwrap()).unwrap();
+    let server = EventedServer::start(&config, ModelRegistry::load(&path).unwrap()).unwrap();
     let client = Client::new(server.addr());
 
     let request = predict_request("vgg-11");
@@ -313,7 +336,7 @@ fn shutdown_joins_workers_and_stops_accepting() {
     let client = Client::new(addr);
     client.health().unwrap();
 
-    // Joins the acceptor and every worker; hangs the test if it cannot.
+    // Joins the loop thread; hangs the test if it cannot.
     server.shutdown();
 
     // The listener is gone: either the connection is refused outright or
