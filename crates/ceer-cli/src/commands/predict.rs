@@ -1,7 +1,6 @@
 //! `ceer predict` — training time/cost prediction for one configuration.
 
-use ceer_core::EstimateOptions;
-use ceer_graph::models::Cnn;
+use ceer_core::{plan, EstimateOptions};
 use ceer_graph::{DeviceClass, Graph};
 use ceer_serve::api::{self, PredictRequest};
 
@@ -49,13 +48,23 @@ pub(crate) fn run(args: &Args) -> Result<(), String> {
         return Err("--gpus, --batch and --samples must be positive".into());
     }
 
-    let (name, graph) = match (cnn_arg, graph_arg) {
+    // The same evaluation the HTTP service runs for `POST /predict`.
+    let request = |cnn: &str, batch| PredictRequest {
+        cnn: cnn.to_string(),
+        gpu: gpu.clone(),
+        gpus,
+        batch,
+        samples,
+        options: EstimateOptions::default(),
+    };
+    let (name, response, coverage) = match (cnn_arg, graph_arg) {
         (Some(_), Some(_)) => {
             return Err("pass either --cnn or --graph, not both".into());
         }
         (Some(cnn_name), None) => {
             let id = parse_cnn(&cnn_name)?;
-            (id.name().to_string(), Cnn::build(id, batch).training_graph())
+            let response = api::predict(&model, &request(id.name(), batch))?;
+            (id.name().to_string(), response, model.plan_coverage(&plan::plan_for(id, batch)))
         }
         (None, Some(path)) => {
             let json =
@@ -63,11 +72,12 @@ pub(crate) fn run(args: &Args) -> Result<(), String> {
             let graph = Graph::from_json(&json)?;
             batch = infer_batch(&graph)
                 .ok_or("graph has no rank-4 input placeholder to infer the batch from")?;
-            (graph.name().to_string(), graph)
+            let name = graph.name().to_string();
+            let response = api::predict_graph(&model, &name, &graph, &request(&name, batch))?;
+            (name, response, model.coverage(&graph))
         }
         (None, None) => return Err("missing required option --cnn (or --graph)".into()),
     };
-    let coverage = model.coverage(&graph);
     if !coverage.is_fully_covered() {
         eprintln!(
             "warning: heavy operations without fitted models: {:?} — the paper \
@@ -75,17 +85,6 @@ pub(crate) fn run(args: &Args) -> Result<(), String> {
             coverage.uncovered_heavy
         );
     }
-
-    // The same evaluation the HTTP service runs for `POST /predict`.
-    let request = PredictRequest {
-        cnn: name.clone(),
-        gpu,
-        gpus,
-        batch,
-        samples,
-        options: EstimateOptions::default(),
-    };
-    let response = api::predict_graph(&model, &name, &graph, &request)?;
 
     if json {
         println!(
@@ -135,7 +134,7 @@ fn infer_batch(graph: &Graph) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ceer_graph::models::CnnId;
+    use ceer_graph::models::{Cnn, CnnId};
 
     #[test]
     fn infer_batch_finds_the_placeholder() {

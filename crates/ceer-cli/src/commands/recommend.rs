@@ -1,8 +1,6 @@
 //! `ceer recommend` — pick the best instance for a CNN under an objective.
 
-use ceer_cloud::{Catalog, Pricing};
-use ceer_core::recommend::{Objective, Workload};
-use ceer_graph::models::Cnn;
+use ceer_core::recommend::Objective;
 
 use crate::args::Args;
 use crate::commands::load_model;
@@ -21,8 +19,8 @@ OPTIONS:
     --epochs E         passes over the data (default 1)
     --market           use §V commodity market prices instead of AWS prices
     --memory-fit       reject instances whose GPU memory cannot hold training
-    --threads N        worker threads for the catalog sweep (default: the
-                       CEER_THREADS env var, then the host's CPU count)
+    --threads N        worker threads (default: the CEER_THREADS env var,
+                       then the host's CPU count)
     --json             emit the recommendation as JSON — byte-identical to
                        the `POST /recommend` body of `ceer serve`";
 
@@ -64,19 +62,19 @@ pub(crate) fn run(args: &Args) -> Result<(), String> {
         return Err("--samples, --batch, --max-gpus and --epochs must be positive".into());
     }
 
+    // The same evaluation the HTTP service runs for `POST /recommend`.
+    let request = ceer_serve::api::RecommendRequest {
+        cnn: id.name().to_string(),
+        objective: Some(objective),
+        samples,
+        batch,
+        max_gpus,
+        epochs,
+        market,
+        memory_fit,
+    };
+    let response = ceer_serve::api::recommend(&model, &request)?;
     if json {
-        // The same evaluation the HTTP service runs for `POST /recommend`.
-        let request = ceer_serve::api::RecommendRequest {
-            cnn: id.name().to_string(),
-            objective: Some(objective),
-            samples,
-            batch,
-            max_gpus,
-            epochs,
-            market,
-            memory_fit,
-        };
-        let response = ceer_serve::api::recommend(&model, &request)?;
         println!(
             "{}",
             serde_json::to_string_pretty(&response)
@@ -85,28 +83,21 @@ pub(crate) fn run(args: &Args) -> Result<(), String> {
         return Ok(());
     }
 
-    let cnn = Cnn::build(id, batch);
-    let catalog = Catalog::new(if market { Pricing::MarketRatio } else { Pricing::OnDemand });
-    let mut workload = Workload::new(samples, max_gpus).with_epochs(epochs);
-    if memory_fit {
-        workload = workload.with_memory_fit();
-    }
-
-    match model.recommend(&cnn, &catalog, &workload, &objective) {
+    match &response.best {
         None => {
             println!(
                 "no instance satisfies the constraint (the paper hits this too: in \
                  Fig. 10, several configurations exceed the budget)"
             );
         }
-        Some(rec) => {
+        Some(best) => {
             println!("recommendation for {} under {objective:?}:", id.name());
-            println!("  {}\n", rec.instance());
+            println!("  {}\n", best.instance());
             println!(
                 "{:28} {:>10} {:>10} {:>9} {:>8}",
                 "instance", "time (h)", "cost", "feasible", "memory"
             );
-            for c in rec.ranking() {
+            for c in &response.ranking {
                 println!(
                     "{:28} {:>10.2} {:>10} {:>9} {:>8}",
                     c.instance().name(),

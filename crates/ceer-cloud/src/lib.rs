@@ -176,6 +176,12 @@ impl Catalog {
             .expect("every GPU model has a multi-GPU offering")
     }
 
+    /// The most GPUs of `gpu` one instance offers (4, or 8 for P2): the
+    /// largest `gpu_count` [`instance`](Self::instance) accepts.
+    pub fn max_gpus(gpu: GpuModel) -> u32 {
+        Self::multi_offering(gpu).gpu_count
+    }
+
     /// Builds the instance configuration for `gpu_count` GPUs of `gpu`.
     ///
     /// Under [`Pricing::OnDemand`], exact AWS offerings use their listed
@@ -385,6 +391,10 @@ mod tests {
     fn p2_supports_up_to_eight() {
         let c = Catalog::new(Pricing::OnDemand);
         assert_eq!(c.instance(GpuModel::K80, 8).name(), "p2.8xlarge");
+        assert_eq!(Catalog::max_gpus(GpuModel::K80), 8);
+        for gpu in [GpuModel::V100, GpuModel::T4, GpuModel::M60] {
+            assert_eq!(Catalog::max_gpus(gpu), 4, "{gpu}");
+        }
     }
 
     #[test]

@@ -71,12 +71,22 @@ fn tcp_cluster_serves_the_http_api_byte_identically() {
     // Unknown paths 404 through the gateway.
     assert_eq!(client.get("/nope").unwrap().status, 404);
 
+    // More GPUs than an instance offers is a 400 from whichever shard owns
+    // the request; it used to panic the owner and, on failover, every
+    // replica after it. The shards stay up and keep answering.
+    let too_many = client.request("POST", "/predict", b"{\"cnn\": \"vgg16\", \"gpus\": 8}");
+    let too_many = too_many.unwrap();
+    assert_eq!(too_many.status, 400, "{}", too_many.body);
+    assert!(too_many.body.contains("at most 4"), "{}", too_many.body);
+    assert_eq!(client.predict(&request).unwrap(), api::predict(&model_a, &request).unwrap());
+
     // Aggregated metrics: v1, all three shards known to the router.
     let metrics_raw = client.get("/metrics").unwrap();
     assert_eq!(metrics_raw.status, 200);
     let metrics: ClusterMetrics = serde_json::from_str(&metrics_raw.body).unwrap();
     assert_eq!(metrics.version.0, 1);
     assert_eq!(metrics.health.len(), 3);
+    assert!(metrics.health.values().all(|&up| up), "{:?}", metrics.health);
     assert!(metrics.router.requests >= 3);
 
     // Reload from the swapped file: every shard acks, the version bumps,

@@ -13,6 +13,7 @@ use ceer_trainer::Trainer;
 
 use crate::estimate::EstimateOptions;
 use crate::fit::{Ceer, FitConfig};
+use crate::plan::PredictPlan;
 
 /// Seed offset separating fold-evaluation noise from fitting noise.
 const EVAL_SEED_OFFSET: u64 = 0xC0DE_F01D;
@@ -95,6 +96,7 @@ pub fn leave_one_out(config: &FitConfig, eval_degrees: &[u32]) -> CrossValidatio
             .iter()
             .find(|(cnn, _, _)| cnn.id() == held_out)
             .expect("held-out CNN was profiled");
+        let plan = PredictPlan::new(graph);
         let mut errors = Vec::new();
         for &gpu in &config.gpus {
             for &k in eval_degrees {
@@ -102,7 +104,7 @@ pub fn leave_one_out(config: &FitConfig, eval_degrees: &[u32]) -> CrossValidatio
                     .with_seed(config.seed ^ EVAL_SEED_OFFSET)
                     .profile_graph(cnn, graph, config.iterations.min(12))
                     .iteration_mean_us();
-                let predicted = model.predict_iteration(graph, gpu, k, &options).total_us();
+                let predicted = model.predict_plan(&plan, gpu, k, &options).total_us();
                 errors.push((gpu, k, (predicted - observed).abs() / observed));
             }
         }

@@ -8,10 +8,10 @@ use ceer_graph::models::Cnn;
 use ceer_graph::{Graph, OpKind};
 use serde::{Deserialize, Serialize};
 
-use crate::classify::{Classification, OpClass};
+use crate::classify::Classification;
 use crate::comm::CommModel;
-use crate::features;
 use crate::opmodel::OpModel;
+use crate::plan::PredictPlan;
 
 /// Term-inclusion switches for the estimator — the paper quantifies the
 /// error of dropping each term (§IV-A/B: ignoring light + CPU ops costs
@@ -170,7 +170,9 @@ impl CeerModel {
     /// `gpus` GPUs of `gpu`, broken down by term.
     ///
     /// `graph` must be a *training* graph (forward + backward), as produced
-    /// by [`Cnn::training_graph`].
+    /// by [`Cnn::training_graph`]. Compiles the graph on every call; to
+    /// predict one graph repeatedly, compile it once into a [`PredictPlan`]
+    /// and call [`predict_plan`](Self::predict_plan).
     pub fn predict_iteration(
         &self,
         graph: &Graph,
@@ -178,57 +180,7 @@ impl CeerModel {
         gpus: u32,
         options: &EstimateOptions,
     ) -> IterationEstimate {
-        let mut estimate = IterationEstimate::default();
-        for node in graph.topological() {
-            match self.classification.class_of(node.kind()) {
-                OpClass::Heavy => {
-                    let f = features::extract(node, graph);
-                    match self.op_models.get(&(node.kind(), gpu)) {
-                        Some(model) => {
-                            estimate.heavy_us += model.predict_us(&f);
-                            let s = model.residual_std_us();
-                            estimate.variance_us2 += s * s;
-                        }
-                        // Heavy kind never seen on this GPU during training:
-                        // the paper says Ceer must be retrained for truly new
-                        // ops (§IV-D); the graceful fallback is the light
-                        // median, which at least keeps the op counted.
-                        None => estimate.heavy_us += self.light_median_us,
-                    }
-                }
-                OpClass::Light => {
-                    if options.include_light {
-                        estimate.light_us += self.light_median_us;
-                    }
-                }
-                OpClass::Cpu => {
-                    if options.include_cpu {
-                        estimate.cpu_us += self.cpu_median_us;
-                    }
-                }
-            }
-        }
-        if options.include_comm {
-            estimate.comm_us =
-                self.comm.predict_us(gpu, gpus, graph.parameter_count()).unwrap_or(0.0);
-            let s = self.comm.residual_std_us(gpu, gpus);
-            estimate.variance_us2 += s * s;
-        }
-        estimate
-    }
-
-    /// Predicts the per-iteration training time of `cnn` (expands its
-    /// training graph; cache the graph and use
-    /// [`predict_iteration`](Self::predict_iteration) in loops).
-    pub fn predict_iteration_for(
-        &self,
-        cnn: &Cnn,
-        gpu: GpuModel,
-        gpus: u32,
-        options: &EstimateOptions,
-    ) -> IterationEstimate {
-        let graph = cnn.training_graph();
-        self.predict_iteration(&graph, gpu, gpus, options)
+        self.predict_plan(&PredictPlan::new(graph), gpu, gpus, options)
     }
 
     /// Predicts the time (µs) to train one epoch of `total_samples` samples:
@@ -249,9 +201,7 @@ impl CeerModel {
     ) -> f64 {
         assert!(total_samples > 0, "epoch needs samples");
         let iteration = self.predict_iteration(graph, gpu, gpus, options);
-        let global_batch = cnn.batch() * gpus as u64;
-        let iterations = total_samples.div_ceil(global_batch);
-        iteration.total_us() * iterations as f64
+        epoch_us(&iteration, cnn.batch(), gpus, total_samples)
     }
 
     /// Predicts the rental cost (USD) of training `total_samples` samples of
@@ -274,6 +224,18 @@ impl CeerModel {
         );
         us * instance.usd_per_microsecond()
     }
+}
+
+/// One epoch of `total_samples` samples at `iteration`'s per-iteration time
+/// (µs): `D/(k·B)` iterations of Eq. (2), `B` being the per-GPU batch.
+pub(crate) fn epoch_us(
+    iteration: &IterationEstimate,
+    batch: u64,
+    gpus: u32,
+    total_samples: u64,
+) -> f64 {
+    let iterations = total_samples.div_ceil(batch * gpus as u64);
+    iteration.total_us() * iterations as f64
 }
 
 #[cfg(test)]

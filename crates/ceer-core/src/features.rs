@@ -44,6 +44,51 @@ impl Features {
     }
 }
 
+/// Most linear features any kind has (the two conv kinds' three).
+const MAX_LINEAR: usize = 3;
+
+/// The features of one operation instance without heap storage: the
+/// linear features followed by the single quadratic extra every kind has,
+/// so both regression forms read one contiguous slice of it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct FeatureRow {
+    linear: u8,
+    values: [f64; MAX_LINEAR + 1],
+}
+
+impl FeatureRow {
+    fn new(linear: &[f64], extra: f64) -> FeatureRow {
+        debug_assert!(linear.len() <= MAX_LINEAR, "{} linear features", linear.len());
+        let n = linear.len().min(MAX_LINEAR);
+        let mut values = [0.0; MAX_LINEAR + 1];
+        values[..n].copy_from_slice(&linear[..n]);
+        values[n] = extra;
+        FeatureRow { linear: n as u8, values }
+    }
+
+    /// The linear features.
+    pub(crate) fn linear(&self) -> &[f64] {
+        &self.values[..usize::from(self.linear)]
+    }
+
+    /// The quadratic feature vector (linear ++ extra).
+    pub(crate) fn quadratic(&self) -> &[f64] {
+        &self.values[..=usize::from(self.linear)]
+    }
+
+    /// The row's bits, for exact-equality interning.
+    pub(crate) fn key(&self) -> (u8, [u64; MAX_LINEAR + 1]) {
+        (self.linear, self.values.map(f64::to_bits))
+    }
+}
+
+impl From<FeatureRow> for Features {
+    fn from(row: FeatureRow) -> Features {
+        let (linear, extra) = row.quadratic().split_at(row.linear().len());
+        Features { linear: linear.to_vec(), quadratic_extra: extra.to_vec() }
+    }
+}
+
 /// Number of linear features [`extract`] produces for an op kind. Stable per
 /// kind so all instances of a kind share one regression design.
 pub fn linear_feature_count(kind: OpKind) -> usize {
@@ -76,6 +121,12 @@ fn window_over_stride(attrs: OpAttrs) -> f64 {
 /// building training designs from profiles and when predicting for unseen
 /// CNNs, so the two can never drift apart.
 pub fn extract(node: &Node, graph: &Graph) -> Features {
+    extract_row(node, graph).into()
+}
+
+/// [`extract`] without the heap: the same values, packed in a
+/// [`FeatureRow`].
+pub(crate) fn extract_row(node: &Node, graph: &Graph) -> FeatureRow {
     use OpKind::*;
     let input_mb = graph.input_bytes(node.id()) as f64 / MB;
     let output_mb = node.output_shape().bytes() as f64 / MB;
@@ -89,10 +140,7 @@ pub fn extract(node: &Node, graph: &Graph) -> Features {
             // count) the paper says the conv models need (§III-C).
             let cout = node.output_shape().channels() as f64;
             let work = input_mb * window_over_stride(node.attrs()) * cout / WORK_SCALE;
-            Features {
-                linear: vec![input_mb, param_mb, work],
-                quadratic_extra: vec![input_mb * work],
-            }
+            FeatureRow::new(&[input_mb, param_mb, work], input_mb * work)
         }
         Conv2DBackpropInput => {
             // Input is the upstream gradient dy; the work scales it by the
@@ -103,10 +151,7 @@ pub fn extract(node: &Node, graph: &Graph) -> Features {
                 _ => 1.0,
             };
             let work = input_mb * kernel * cout / WORK_SCALE;
-            Features {
-                linear: vec![input_mb, output_mb, work],
-                quadratic_extra: vec![input_mb * work],
-            }
+            FeatureRow::new(&[input_mb, output_mb, work], input_mb * work)
         }
         Conv2DBackpropFilter => {
             // Inputs are [x, dy]; the work scales dy by the window area and
@@ -119,23 +164,20 @@ pub fn extract(node: &Node, graph: &Graph) -> Features {
                 _ => 1.0,
             };
             let work = dy_mb * kernel * cin / WORK_SCALE;
-            Features { linear: vec![input_mb, work], quadratic_extra: vec![input_mb * work] }
+            FeatureRow::new(&[input_mb, work], input_mb * work)
         }
         MatMul => {
             // Work scales with (rows × inner) × output columns.
             let out_cols = node.output_shape().channels() as f64;
             let first_mb =
                 graph.input_shapes(node.id()).first().map(|s| s.bytes() as f64 / MB).unwrap_or(0.0);
-            Features {
-                linear: vec![input_mb, first_mb * out_cols],
-                quadratic_extra: vec![input_mb * input_mb],
-            }
+            FeatureRow::new(&[input_mb, first_mb * out_cols], input_mb * input_mb)
         }
-        MaxPool | AvgPool | AvgPoolGrad | MaxPoolGrad => Features {
-            linear: vec![input_mb, output_mb * window_over_stride(node.attrs())],
-            quadratic_extra: vec![input_mb * input_mb],
-        },
-        _ => Features { linear: vec![input_mb], quadratic_extra: vec![input_mb * input_mb] },
+        MaxPool | AvgPool | AvgPoolGrad | MaxPoolGrad => FeatureRow::new(
+            &[input_mb, output_mb * window_over_stride(node.attrs())],
+            input_mb * input_mb,
+        ),
+        _ => FeatureRow::new(&[input_mb], input_mb * input_mb),
     }
 }
 

@@ -56,6 +56,7 @@ pub mod estimate;
 pub mod features;
 pub mod fit;
 pub mod opmodel;
+pub mod plan;
 pub mod recommend;
 pub mod report;
 
@@ -64,4 +65,5 @@ pub use classify::{Classification, OpClass};
 pub use estimate::{CeerModel, EstimateOptions};
 pub use fit::{Ceer, FitConfig};
 pub use opmodel::{ModelForm, OpModel, OpModelAccumulator};
+pub use plan::PredictPlan;
 pub use report::CoverageReport;

@@ -12,7 +12,7 @@ use ceer_graph::OpKind;
 use ceer_stats::regression::{adjusted_r_squared, MultipleOls, NormalAccumulator};
 use serde::{Deserialize, Serialize};
 
-use crate::features::Features;
+use crate::features::{FeatureRow, Features};
 
 /// Which functional form the selection kept.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -81,9 +81,21 @@ impl OpModel {
     /// Predicted compute time (µs) for an instance with `features`. Never
     /// negative: regression extrapolation is clamped at zero.
     pub fn predict_us(&self, features: &Features) -> f64 {
+        self.predict_form(&features.linear, || features.quadratic())
+    }
+
+    /// [`predict_us`](Self::predict_us) for a packed row, without
+    /// allocating.
+    pub(crate) fn predict_row(&self, row: &FeatureRow) -> f64 {
+        self.predict_form(row.linear(), || row.quadratic())
+    }
+
+    /// The one dispatch over the fitted form. `quadratic` yields the linear
+    /// ++ extra features and is only called for the quadratic form.
+    fn predict_form<Q: AsRef<[f64]>>(&self, linear: &[f64], quadratic: impl FnOnce() -> Q) -> f64 {
         let raw = match (&self.form, &self.ols) {
-            (ModelForm::Linear, Some(ols)) => ols.predict(&features.linear),
-            (ModelForm::Quadratic, Some(ols)) => ols.predict(&features.quadratic()),
+            (ModelForm::Linear, Some(ols)) => ols.predict(linear),
+            (ModelForm::Quadratic, Some(ols)) => ols.predict(quadratic().as_ref()),
             _ => self.mean_us,
         };
         raw.max(0.0)

@@ -12,7 +12,8 @@ use ceer_cloud::{Catalog, Instance};
 use ceer_graph::models::Cnn;
 use serde::{Deserialize, Serialize};
 
-use crate::estimate::{CeerModel, EstimateOptions};
+use crate::estimate::{epoch_us, CeerModel, EstimateOptions};
+use crate::plan::{self, PredictPlan};
 
 /// What is being trained and how wide the search may go.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,43 +193,52 @@ impl Recommendation {
 
 impl CeerModel {
     /// Evaluates every candidate instance (all four GPU models ×
-    /// 1..=`max_gpus` GPUs) for training `cnn` over the workload.
-    ///
-    /// Candidates are independent, so the sweep runs on the [`ceer_par`]
-    /// worker pool; the returned vector keeps the catalog's enumeration
-    /// order and is bit-identical at every thread count.
+    /// 1..=`max_gpus` GPUs) for training `cnn` over the workload, in the
+    /// catalog's enumeration order. The CNN's compiled plan comes from the
+    /// process-wide memo ([`plan::plan_for`]).
     pub fn evaluate_candidates(
         &self,
         cnn: &Cnn,
         catalog: &Catalog,
         workload: &Workload,
     ) -> Vec<Candidate> {
-        let graph = cnn.training_graph();
+        let plan = plan::plan_for(cnn.id(), cnn.batch());
+        self.evaluate_plan_candidates(&plan, cnn.batch(), catalog, workload)
+    }
+
+    /// [`evaluate_candidates`](Self::evaluate_candidates) for a compiled
+    /// training graph built at per-GPU batch `batch`: one plan and one
+    /// memory estimate serve every candidate. Each candidate is a single
+    /// plan evaluation, so the sweep is a plain loop.
+    pub fn evaluate_plan_candidates(
+        &self,
+        plan: &PredictPlan,
+        batch: u64,
+        catalog: &Catalog,
+        workload: &Workload,
+    ) -> Vec<Candidate> {
         let options = EstimateOptions::default();
-        let memory = ceer_graph::analysis::estimate_memory(&graph);
-        let instances = catalog.enumerate(workload.max_gpus);
-        ceer_par::par_map(&instances, |instance| {
-            let time_us = workload.epochs as f64
-                * self.predict_epoch_us(
-                    cnn,
-                    &graph,
-                    instance.gpu(),
-                    instance.gpu_count(),
-                    workload.total_samples,
-                    &options,
-                );
-            let cost = time_us * instance.usd_per_microsecond();
-            // Data parallelism replicates the full model on every GPU,
-            // so the per-GPU requirement does not shrink with the count.
-            let fits_memory =
-                !workload.enforce_memory_fit || memory.fits_gib(instance.gpu().spec().memory_gib);
-            Candidate {
-                instance: instance.clone(),
-                predicted_time_us: time_us,
-                predicted_cost_usd: cost,
-                fits_memory,
-            }
-        })
+        catalog
+            .enumerate(workload.max_gpus)
+            .into_iter()
+            .map(|instance| {
+                let iteration =
+                    self.predict_plan(plan, instance.gpu(), instance.gpu_count(), &options);
+                let time_us = workload.epochs as f64
+                    * epoch_us(&iteration, batch, instance.gpu_count(), workload.total_samples);
+                let cost = time_us * instance.usd_per_microsecond();
+                // Data parallelism replicates the full model on every GPU,
+                // so the per-GPU requirement does not shrink with the count.
+                let fits_memory = !workload.enforce_memory_fit
+                    || plan.memory().fits_gib(instance.gpu().spec().memory_gib);
+                Candidate {
+                    instance,
+                    predicted_time_us: time_us,
+                    predicted_cost_usd: cost,
+                    fits_memory,
+                }
+            })
+            .collect()
     }
 
     /// Recommends the instance minimizing `objective` for training `cnn`.
@@ -243,14 +253,21 @@ impl CeerModel {
         workload: &Workload,
         objective: &Objective,
     ) -> Option<Recommendation> {
-        let mut ranking = self.evaluate_candidates(cnn, catalog, workload);
-        ceer_stats::total::sort_by_f64_key(&mut ranking, |c| c.score(objective));
-        let best = ranking.first()?.clone();
-        if !best.is_feasible(objective) {
-            return None;
-        }
-        Some(Recommendation { best, ranking })
+        let (best, ranking) = rank(self.evaluate_candidates(cnn, catalog, workload), objective);
+        Some(Recommendation { best: best?, ranking })
     }
+}
+
+/// Sorts evaluated candidates best first under `objective` (infeasible
+/// ones last) and picks the winner, `None` when even the best is
+/// infeasible.
+pub fn rank(
+    mut candidates: Vec<Candidate>,
+    objective: &Objective,
+) -> (Option<Candidate>, Vec<Candidate>) {
+    ceer_stats::total::sort_by_f64_key(&mut candidates, |c| c.score(objective));
+    let best = candidates.first().filter(|c| c.is_feasible(objective)).cloned();
+    (best, candidates)
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@ use ceer_graph::{Graph, OpKind};
 use crate::classify::OpClass;
 use crate::estimate::CeerModel;
 use crate::opmodel::ModelForm;
+use crate::plan::PredictPlan;
 
 /// How well a fitted model covers a target graph's operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,6 +42,17 @@ impl CeerModel {
     /// Checks how well this model covers `graph`'s operations.
     pub fn coverage(&self, graph: &Graph) -> CoverageReport {
         let kinds: BTreeSet<OpKind> = graph.nodes().iter().map(|n| n.kind()).collect();
+        self.coverage_of(kinds)
+    }
+
+    /// [`coverage`](Self::coverage) of a compiled training graph.
+    pub fn plan_coverage(&self, plan: &PredictPlan) -> CoverageReport {
+        self.coverage_of(plan.kinds().iter().copied())
+    }
+
+    /// The per-kind check behind both coverage reports; `kinds` are
+    /// distinct and sorted.
+    fn coverage_of(&self, kinds: impl IntoIterator<Item = OpKind>) -> CoverageReport {
         let mut covered_heavy = Vec::new();
         let mut uncovered_heavy = Vec::new();
         let mut unseen_light_or_cpu = Vec::new();

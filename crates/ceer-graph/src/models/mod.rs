@@ -182,6 +182,12 @@ impl Cnn {
         training_graph(self.forward.clone(), self.loss)
     }
 
+    /// [`training_graph`](Self::training_graph), expanding the forward graph
+    /// in place instead of copying it.
+    pub fn into_training_graph(self) -> Graph {
+        training_graph(self.forward, self.loss)
+    }
+
     /// Total trainable parameters.
     pub fn parameter_count(&self) -> u64 {
         self.forward.parameter_count()
@@ -278,6 +284,14 @@ mod tests {
             let train = cnn.training_graph().len() as f64;
             let ratio = train / fwd;
             assert!((1.5..3.5).contains(&ratio), "{id}: fwd->train ratio {ratio:.2}");
+        }
+    }
+
+    #[test]
+    fn expanding_in_place_matches_expanding_a_copy() {
+        for &id in CnnId::all() {
+            let cnn = Cnn::build(id, 3);
+            assert_eq!(cnn.training_graph(), cnn.into_training_graph(), "{id}");
         }
     }
 

@@ -112,8 +112,8 @@ impl Config {
     ///   sink-exempt: owning sockets and wall clocks is its job, but
     ///   taint still *flows through* it.
     /// * `panic-reachability` roots are every fn in the serve request
-    ///   path plus the `pub` API of the `ceer-core` estimate/recommend/
-    ///   report modules and of `ceer-online` (its engine runs on the
+    ///   path plus the `pub` API of the `ceer-core` estimate/plan/
+    ///   recommend/report modules and of `ceer-online` (its engine runs on the
     ///   serving drain thread, where a panic would kill the loop);
     ///   `[..]`-indexing counts as a sink only inside the serving stack
     ///   and those APIs (numeric kernels index slices behind explicit
@@ -161,6 +161,7 @@ impl Config {
                 panic_roots: serve_request_path.clone(),
                 panic_pub_roots: vec![
                     "crates/ceer-core/src/estimate.rs".to_string(),
+                    "crates/ceer-core/src/plan.rs".to_string(),
                     "crates/ceer-core/src/recommend.rs".to_string(),
                     "crates/ceer-core/src/report.rs".to_string(),
                     "crates/ceer-online/src/".to_string(),
@@ -168,6 +169,7 @@ impl Config {
                 panic_index_sinks: vec![
                     "crates/ceer-serve/src/".to_string(),
                     "crates/ceer-core/src/estimate.rs".to_string(),
+                    "crates/ceer-core/src/plan.rs".to_string(),
                     "crates/ceer-core/src/recommend.rs".to_string(),
                     "crates/ceer-core/src/report.rs".to_string(),
                     "crates/ceer-online/src/".to_string(),

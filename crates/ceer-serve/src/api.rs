@@ -8,7 +8,8 @@
 
 use ceer_cloud::{Catalog, Pricing};
 use ceer_core::estimate::IterationEstimate;
-use ceer_core::recommend::{Candidate, Objective, Workload};
+use ceer_core::plan::{self, PredictPlan};
+use ceer_core::recommend::{rank, Candidate, Objective, Workload};
 use ceer_core::{CeerModel, EstimateOptions};
 use ceer_gpusim::GpuModel;
 use ceer_graph::models::{Cnn, CnnId};
@@ -324,33 +325,45 @@ pub fn catalog() -> Vec<CatalogEntry> {
         .collect()
 }
 
-/// Evaluates a predict request for a zoo CNN.
+/// Evaluates a predict request for a zoo CNN. The CNN's compiled plan
+/// comes from the process-wide memo ([`plan::plan_for`]), so only the
+/// first request for a (CNN, batch) pair expands its training graph.
 ///
 /// # Errors
 ///
-/// Errors on unknown CNN/GPU names or non-positive counts.
+/// Errors on unknown CNN/GPU names, non-positive counts, or more GPUs than
+/// an instance of a requested GPU model offers.
 pub fn predict(model: &CeerModel, request: &PredictRequest) -> Result<PredictResponse, String> {
     let id = parse_cnn(&request.cnn)?;
     if request.batch == 0 {
         return Err("batch must be positive".into());
     }
-    let graph = Cnn::build(id, request.batch).training_graph();
-    predict_graph(model, id.name(), &graph, request)
+    let targets = predict_targets(request)?;
+    Ok(respond(model, id.name(), &plan::plan_for(id, request.batch), request, targets))
 }
 
 /// Evaluates a predict request against an explicit training graph (the
 /// `--graph` escape hatch for CNNs defined outside the zoo); `name` labels
-/// the response.
+/// the response. The graph is compiled once, unmemoized, and the plan
+/// evaluated for every requested GPU model.
 ///
 /// # Errors
 ///
-/// Errors on unknown GPU names or non-positive counts.
+/// Errors on unknown GPU names, non-positive counts, or more GPUs than an
+/// instance of a requested GPU model offers.
 pub fn predict_graph(
     model: &CeerModel,
     name: &str,
     graph: &Graph,
     request: &PredictRequest,
 ) -> Result<PredictResponse, String> {
+    let targets = predict_targets(request)?;
+    Ok(respond(model, name, &PredictPlan::new(graph), request, targets))
+}
+
+/// Validates a predict request's counts and GPU filter, before any
+/// evaluation, and returns the GPU models it asks for.
+fn predict_targets(request: &PredictRequest) -> Result<Vec<GpuModel>, String> {
     if request.gpus == 0 || request.batch == 0 || request.samples == 0 {
         return Err("gpus, batch and samples must be positive".into());
     }
@@ -358,12 +371,33 @@ pub fn predict_graph(
         Some(gpu) => vec![parse_gpu(gpu)?],
         None => GpuModel::all().to_vec(),
     };
+    for &gpu in &targets {
+        let limit = Catalog::max_gpus(gpu);
+        if request.gpus > limit {
+            return Err(format!(
+                "gpus must be at most {limit} on {} (its largest instance), got {}",
+                gpu.aws_family(),
+                request.gpus
+            ));
+        }
+    }
+    Ok(targets)
+}
+
+/// The response for one compiled training graph, predicted on `targets`.
+fn respond(
+    model: &CeerModel,
+    name: &str,
+    plan: &PredictPlan,
+    request: &PredictRequest,
+    targets: Vec<GpuModel>,
+) -> PredictResponse {
     let catalog = Catalog::new(Pricing::OnDemand);
     let iterations = request.samples.div_ceil(request.batch * request.gpus as u64);
     let predictions = targets
         .into_iter()
         .map(|gpu| {
-            let estimate = model.predict_iteration(graph, gpu, request.gpus, &request.options);
+            let estimate = model.predict_plan(plan, gpu, request.gpus, &request.options);
             let instance = catalog.instance(gpu, request.gpus);
             let epoch_us = estimate.total_us() * iterations as f64;
             GpuPrediction {
@@ -379,23 +413,25 @@ pub fn predict_graph(
             }
         })
         .collect();
-    Ok(PredictResponse {
+    PredictResponse {
         cnn: name.to_string(),
-        parameters: graph.parameter_count(),
-        ops: graph.len() as u64,
+        parameters: plan.parameter_count(),
+        ops: plan.ops() as u64,
         batch: request.batch,
         gpus: request.gpus,
         samples: request.samples,
-        fully_covered: model.coverage(graph).is_fully_covered(),
+        fully_covered: model.plan_coverage(plan).is_fully_covered(),
         predictions,
-    })
+    }
 }
 
-/// Evaluates a recommend request.
+/// Evaluates a recommend request: one memoized plan serves all 16
+/// candidates.
 ///
 /// # Errors
 ///
-/// Errors on unknown CNN names or non-positive counts.
+/// Errors on unknown CNN names, non-positive counts, or a `max_gpus`
+/// beyond what every GPU model's largest instance offers.
 pub fn recommend(
     model: &CeerModel,
     request: &RecommendRequest,
@@ -404,24 +440,26 @@ pub fn recommend(
     if request.samples == 0 || request.batch == 0 || request.max_gpus == 0 || request.epochs == 0 {
         return Err("samples, batch, max_gpus and epochs must be positive".into());
     }
+    // The sweep takes every GPU model up to `max_gpus`.
+    let limit = GpuModel::all().iter().map(|&gpu| Catalog::max_gpus(gpu)).min().unwrap_or(0);
+    if request.max_gpus > limit {
+        return Err(format!(
+            "max_gpus must be at most {limit} (the largest instance every GPU model offers), got {}",
+            request.max_gpus
+        ));
+    }
     let objective = request.objective.unwrap_or(Objective::MinimizeCost);
-    let cnn = Cnn::build(id, request.batch);
     let catalog =
         Catalog::new(if request.market { Pricing::MarketRatio } else { Pricing::OnDemand });
     let mut workload = Workload::new(request.samples, request.max_gpus).with_epochs(request.epochs);
     if request.memory_fit {
         workload = workload.with_memory_fit();
     }
-    let (best, ranking) = match model.recommend(&cnn, &catalog, &workload, &objective) {
-        Some(rec) => (Some(rec.best().clone()), rec.ranking().to_vec()),
-        None => {
-            // No feasible candidate: still report the evaluated field so the
-            // caller sees how far over budget everything is.
-            let mut ranking = model.evaluate_candidates(&cnn, &catalog, &workload);
-            ceer_stats::total::sort_by_f64_key(&mut ranking, |c| c.score(&objective));
-            (None, ranking)
-        }
-    };
+    let plan = plan::plan_for(id, request.batch);
+    // With no feasible candidate `best` is `None`, and the ranking still
+    // shows how far over budget everything is.
+    let (best, ranking) =
+        rank(model.evaluate_plan_candidates(&plan, request.batch, &catalog, &workload), &objective);
     Ok(RecommendResponse { cnn: id.name().to_string(), objective, best, ranking })
 }
 
@@ -521,6 +559,38 @@ mod tests {
         req.cnn = "resnet-50".into();
         req.gpus = 0;
         assert!(predict(model(), &req).is_err());
+    }
+
+    #[test]
+    fn gpu_counts_beyond_the_largest_instance_are_rejected() {
+        let mut req = predict_request();
+        for gpus in [5, 8] {
+            req.gpus = gpus;
+            let error = predict(model(), &req).unwrap_err();
+            assert!(error.contains("at most 4"), "{error}");
+        }
+        req.gpu = Some("p3".into());
+        assert!(predict(model(), &req).unwrap_err().contains("P3"));
+        // P2 sells an 8-GPU instance.
+        req.gpu = Some("p2".into());
+        let response = predict(model(), &req).unwrap();
+        assert_eq!(response.predictions[0].instance, "p2.8xlarge");
+        req.gpus = 9;
+        assert!(predict(model(), &req).unwrap_err().contains("at most 8"));
+
+        let mut request = RecommendRequest {
+            cnn: "alexnet".into(),
+            objective: None,
+            samples: 64_000,
+            batch: 32,
+            max_gpus: 5,
+            epochs: 1,
+            market: false,
+            memory_fit: false,
+        };
+        assert!(recommend(model(), &request).unwrap_err().contains("at most 4"));
+        request.max_gpus = 4;
+        assert_eq!(recommend(model(), &request).unwrap().ranking.len(), 16);
     }
 
     #[test]

@@ -58,6 +58,8 @@ pub struct Conn {
     /// The last write hit `WouldBlock`; don't retry until the transport
     /// reports writable again.
     pub write_blocked: bool,
+    /// Deadline of the connection's armed wheel timer, if any.
+    pub timer_at: Option<u64>,
 }
 
 impl Conn {
@@ -76,6 +78,7 @@ impl Conn {
             requests_served: 0,
             silent_write_errors: false,
             write_blocked: false,
+            timer_at: None,
         }
     }
 

@@ -201,6 +201,12 @@ impl<S: EventSource> EventedCore<S> {
         self.conns.len()
     }
 
+    /// Timers in the wheel, lazily cancelled ones included: at most one
+    /// live one per connection, plus the batch flush.
+    pub fn armed_timers(&self) -> usize {
+        self.wheel.len()
+    }
+
     /// Whether a drain has begun.
     pub fn draining(&self) -> bool {
         self.draining
@@ -359,8 +365,22 @@ impl<S: EventSource> EventedCore<S> {
 
     fn arm_conn_timer(&mut self, token: Token) {
         if let Some(at) = self.conns.get(&token).and_then(|c| self.conn_deadline(c)) {
-            self.wheel.schedule(at, TimerKind::Conn(token));
+            self.arm_conn_timer_at(token, at);
         }
+    }
+
+    /// Arms `token`'s timer for `at` unless an armed one fires no later:
+    /// that one recomputes the deadline and re-arms when it fires, so a
+    /// connection keeps one live wheel entry however many requests it
+    /// serves (otherwise every answered `/predict` would leave an entry
+    /// in the wheel for a whole read timeout).
+    fn arm_conn_timer_at(&mut self, token: Token, at: u64) {
+        let Some(conn) = self.conns.get_mut(&token) else { return };
+        if conn.timer_at.is_some_and(|armed| armed <= at) {
+            return;
+        }
+        conn.timer_at = Some(at);
+        self.wheel.schedule(at, TimerKind::Conn(token));
     }
 
     /// A connection timer fired. Deadlines are lazy: recompute from
@@ -373,6 +393,12 @@ impl<S: EventSource> EventedCore<S> {
             Close,
             Timeout,
             Nothing,
+        }
+        // Every timer due by `now` has fired, the armed one included.
+        if let Some(conn) = self.conns.get_mut(&token) {
+            if conn.timer_at.is_some_and(|armed| armed <= now) {
+                conn.timer_at = None;
+            }
         }
         let act = {
             let Some(conn) = self.conns.get(&token) else { return };
@@ -397,7 +423,7 @@ impl<S: EventSource> EventedCore<S> {
         };
         match act {
             Act::Nothing => {}
-            Act::Rearm(at) => self.wheel.schedule(at, TimerKind::Conn(token)),
+            Act::Rearm(at) => self.arm_conn_timer_at(token, at),
             Act::Close => self.close_token(token),
             Act::Timeout => {
                 // Stalled mid-request (slowloris): 408, count, close.
@@ -414,7 +440,7 @@ impl<S: EventSource> EventedCore<S> {
                     (r, _) => Some(r),
                 };
                 if let Some(grace) = grace {
-                    self.wheel.schedule(now.saturating_add(grace), TimerKind::Conn(token));
+                    self.arm_conn_timer_at(token, now.saturating_add(grace));
                 }
             }
         }
@@ -498,10 +524,7 @@ impl<S: EventSource> EventedCore<S> {
             if started_request && self.cfg.read_timeout_ms == 0 && self.cfg.request_timeout_ms > 0 {
                 // With no read timeout there is no standing timer; the
                 // request deadline needs one of its own.
-                self.wheel.schedule(
-                    now.saturating_add(self.cfg.request_timeout_ms),
-                    TimerKind::Conn(token),
-                );
+                self.arm_conn_timer_at(token, now.saturating_add(self.cfg.request_timeout_ms));
             }
             match step {
                 Step::Wait => return,

@@ -276,6 +276,55 @@ fn keep_alive_client_reconnects_after_an_error_closes_the_connection() {
     server.shutdown();
 }
 
+/// Regression: more GPUs than an instance offers used to panic inside the
+/// estimator, so the client read no response at all. Now it is a 400
+/// naming the limit, the connection keeps working, and nothing panicked.
+#[test]
+fn too_many_gpus_answer_400_without_a_panic() {
+    let server = start(16);
+    let mut conn = ClientConn::new(server.addr());
+    let too_many: &[&[u8]] = &[
+        br#"{"cnn": "vgg16", "gpus": 8}"#,
+        br#"{"cnn": "vgg16", "gpus": 5, "gpu": "t4"}"#,
+        br#"{"cnn": "vgg16", "gpus": 9, "gpu": "p2"}"#,
+    ];
+    for body in too_many {
+        let response = conn.request("POST", "/predict", body).unwrap();
+        assert_eq!(response.status, 400, "{}", response.body);
+        assert!(response.body.contains("at most"), "{}", response.body);
+        let next = conn.request("POST", "/predict", br#"{"cnn": "vgg16", "gpus": 2}"#).unwrap();
+        assert_eq!(next.status, 200, "{}", next.body);
+    }
+    let recommend = conn.request("POST", "/recommend", br#"{"cnn": "vgg11", "max_gpus": 5}"#);
+    assert_eq!(recommend.unwrap().status, 400);
+    // P2 sells an 8-GPU instance.
+    let p2 = conn.request("POST", "/predict", br#"{"cnn": "vgg16", "gpus": 8, "gpu": "p2"}"#);
+    assert_eq!(p2.unwrap().status, 200);
+
+    let metrics = Client::new(server.addr()).metrics().unwrap();
+    assert_eq!(metrics.robustness.panics_recovered, 0);
+    assert_eq!(metrics.endpoints["POST /predict"].errors, 3);
+    server.shutdown();
+}
+
+#[test]
+fn predict_batch_answers_too_many_gpus_per_item() {
+    use ceer::serve::api::PredictBatchRequest;
+
+    let server = start(16);
+    let client = Client::new(server.addr());
+    let good = predict_request("vgg-11");
+    let bad = PredictRequest { gpus: 8, ..good.clone() };
+    let batch = PredictBatchRequest { requests: vec![good.clone(), bad] };
+    let response = client.predict_batch(&batch).unwrap();
+    assert_eq!(response.responses.len(), 2);
+    assert_eq!(response.responses[0].response, Some(api::predict(model(), &good).unwrap()));
+    assert!(response.responses[1].response.is_none());
+    assert!(response.responses[1].error.as_ref().unwrap().contains("at most 4"));
+    assert_eq!(client.metrics().unwrap().robustness.panics_recovered, 0);
+    server.shutdown();
+}
+
 /// `POST /reload` failure paths: a corrupt, truncated, or wrong-schema
 /// model file must leave the previous model serving, answer a structured
 /// error, and increment the reload-failure counter — for every flavor of

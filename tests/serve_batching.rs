@@ -153,3 +153,25 @@ fn a_window_actually_coalesces_and_replays_byte_identically() {
     let (_, digest_b) = serve_concurrent(5);
     assert_eq!(digest_a, digest_b, "batched run replays byte-identically");
 }
+
+/// An answered `/predict` re-arms its connection's deadline timer, so a
+/// keep-alive connection holds one live wheel entry however many requests
+/// it serves — not one per request for a whole read timeout.
+#[test]
+fn keep_alive_predicts_keep_one_timer_per_connection() {
+    const REQUESTS: u64 = 40;
+    let mut source = SimSource::new();
+    let client = source.connect_at(0);
+    for i in 0..REQUESTS {
+        let keep_alive = wire(1 + i).replace("Connection: close\r\n", "");
+        source.send_at(client, 1 + 2 * i, keep_alive.as_bytes());
+    }
+    let mut core = core(source, 0);
+    // Stop before the first read deadline (200ms), while every timer
+    // armed so far is still pending.
+    core.run_until(150, 100_000).expect("sim run");
+    let received = String::from_utf8_lossy(core.source().received(client)).into_owned();
+    assert_eq!(received.matches("HTTP/1.1 200").count() as u64, REQUESTS);
+    assert!(!core.source().server_closed(client), "the connection stays open");
+    assert!(core.armed_timers() <= 2, "{} timers armed for one connection", core.armed_timers());
+}
