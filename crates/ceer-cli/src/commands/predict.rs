@@ -21,8 +21,6 @@ OPTIONS:
     --batch B        per-GPU batch size (default 32; for --graph it is
                      inferred from the graph's input placeholder)
     --samples N      also report one epoch over N samples (default 1200000)
-    --threads N      worker threads (default: the CEER_THREADS env var, then
-                     the host's CPU count)
     --json           emit the prediction as JSON — byte-identical to the
                      `POST /predict` body of `ceer serve`";
 
@@ -42,7 +40,6 @@ pub(crate) fn run(args: &Args) -> Result<(), String> {
     let mut batch = args.opt_parse("--batch", 32u64)?;
     let samples = args.opt_parse("--samples", 1_200_000u64)?;
     let json = args.flag("--json");
-    crate::commands::apply_threads(args)?;
     args.finish()?;
     if gpus == 0 || batch == 0 || samples == 0 {
         return Err("--gpus, --batch and --samples must be positive".into());

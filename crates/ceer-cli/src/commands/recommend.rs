@@ -19,8 +19,6 @@ OPTIONS:
     --epochs E         passes over the data (default 1)
     --market           use §V commodity market prices instead of AWS prices
     --memory-fit       reject instances whose GPU memory cannot hold training
-    --threads N        worker threads (default: the CEER_THREADS env var,
-                       then the host's CPU count)
     --json             emit the recommendation as JSON — byte-identical to
                        the `POST /recommend` body of `ceer serve`";
 
@@ -56,7 +54,6 @@ pub(crate) fn run(args: &Args) -> Result<(), String> {
     let market = args.flag("--market");
     let memory_fit = args.flag("--memory-fit");
     let json = args.flag("--json");
-    crate::commands::apply_threads(args)?;
     args.finish()?;
     if samples == 0 || batch == 0 || max_gpus == 0 || epochs == 0 {
         return Err("--samples, --batch, --max-gpus and --epochs must be positive".into());

@@ -8,16 +8,14 @@ const HELP: &str = "\
 ceer serve — serve predictions from a fitted model over HTTP (JSON API)
 
 One loop thread serves every connection from epoll (Linux only):
-nonblocking sockets, keep-alive connections, micro-batched /predict.
+nonblocking sockets, keep-alive connections. Requests are answered one at
+a time on that thread, uncached /predict included.
 
 OPTIONS:
     --model FILE        fitted model from `ceer fit` (required; re-read on
                         POST /reload)
     --host HOST         interface to bind (default 127.0.0.1)
     --port PORT         port to bind (default 8100; 0 picks a free port)
-    --threads N         ceer-par pool size for /predict_batch fan-out
-                        (default: the CEER_THREADS env var, then the host's
-                        CPU count)
     --cache-capacity N  LRU prediction-cache entries (default 256; 0 disables)
     --data-dir DIR      persist reloads, pins, and online-learning state to
                         DIR (checksummed WAL + atomic snapshots); on start
@@ -36,13 +34,6 @@ ROBUSTNESS:
                             (default 1048576)
     --max-pending N         open-connection cap; beyond it the server sheds
                             with 429 + Retry-After (default 128)
-
-BATCHING:
-    --batch-window-ms N     hold a /predict cache miss up to N ms to
-                            coalesce concurrent misses into one batched
-                            fan-out (default 0 = no extra latency). Other
-                            uncached requests run one at a time on the
-                            loop thread.
 
 FAULT INJECTION (chaos testing):
     CEER_FAULT_PLAN     seeded fault plan, e.g.
@@ -74,9 +65,7 @@ pub(crate) fn run(args: &Args) -> Result<(), String> {
     let request_timeout_ms = args.opt_parse("--request-timeout-ms", defaults.request_timeout_ms)?;
     let max_body_bytes = args.opt_parse("--max-body-bytes", defaults.max_body_bytes)?;
     let max_pending = args.opt_parse("--max-pending", defaults.max_pending)?;
-    let batch_window_ms = args.opt_parse("--batch-window-ms", defaults.batch_window_ms)?;
     let data_dir = args.opt("--data-dir")?.map(std::path::PathBuf::from);
-    crate::commands::apply_threads(args)?;
     args.finish()?;
     // A typo'd fault plan must refuse to start, not silently inject nothing.
     let faults = ceer_faults::FaultPlan::from_env()?;
@@ -93,16 +82,14 @@ pub(crate) fn run(args: &Args) -> Result<(), String> {
         request_timeout_ms,
         max_body_bytes,
         max_pending,
-        batch_window_ms,
         data_dir,
         faults,
     };
     let server = EventedServer::start(&config, registry)?;
     println!(
-        "ceer-serve listening on http://{} (1 loop thread, batch window {}ms, cache capacity {}, \
-         model {model_path:?})",
+        "ceer-serve listening on http://{} (1 loop thread, cache capacity {}, model \
+         {model_path:?})",
         server.addr(),
-        config.batch_window_ms,
         config.cache_capacity
     );
     println!(

@@ -12,15 +12,14 @@
 //! ceer durable    inspect|verify --dir DIR [--json]
 //! ceer zoo        [--cnn NAME]
 //! ceer catalog    [--market]
-//! ceer serve      --model model.json [--port P] [--batch-window-ms MS]
+//! ceer serve      --model model.json [--port P] [--cache-capacity N]
 //! ceer cluster    --model model.json [--port P] [--shards N] [--replicas R]
 //! ceer online     replay [--seed S] [--requests N] [--fault-spec SPEC] [--json]
 //! ```
 //!
-//! `fit`, `collect`, `predict`, `recommend`, `profile` and `serve` also take
-//! `--threads N` to size the `ceer-par` worker pool (results are
-//! bit-identical at every thread count; the flag only changes wall-clock
-//! time).
+//! `fit`, `collect`, `profile` and `online` also take `--threads N` to size
+//! the `ceer-par` worker pool (results are bit-identical at every thread
+//! count; the flag only changes wall-clock time).
 //!
 //! Run `ceer help` (or any subcommand with `--help`) for details.
 

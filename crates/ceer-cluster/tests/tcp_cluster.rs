@@ -79,6 +79,13 @@ fn tcp_cluster_serves_the_http_api_byte_identically() {
     assert_eq!(too_many.status, 400, "{}", too_many.body);
     assert!(too_many.body.contains("at most 4"), "{}", too_many.body);
     assert_eq!(client.predict(&request).unwrap(), api::predict(&model_a, &request).unwrap());
+    // So is a batch of 2^62, which wrapped the epoch arithmetic to a
+    // division by zero in the owner and then in every replica.
+    let huge = b"{\"cnn\": \"vgg11\", \"batch\": 4611686018427387904, \"gpus\": 4}";
+    let huge = client.request("POST", "/predict", huge).unwrap();
+    assert_eq!(huge.status, 400, "{}", huge.body);
+    assert!(huge.body.contains("at most 65536"), "{}", huge.body);
+    assert_eq!(client.predict(&request).unwrap(), api::predict(&model_a, &request).unwrap());
 
     // Aggregated metrics: v1, all three shards known to the router.
     let metrics_raw = client.get("/metrics").unwrap();

@@ -18,8 +18,6 @@
 //! * [`FaultInjector`] — evaluates the plan at runtime; counter mode for
 //!   arrival-ordered sites (servers), keyed mode for deterministic
 //!   pipelines (the trainer); logs every injected fault;
-//! * [`FaultyRead`]/[`FaultyWrite`] — stream adapters injecting errors,
-//!   delays, and short I/O below any buffering;
 //! * [`Faults`] — the `Option<Arc<FaultInjector>>` handle the hot paths
 //!   carry; `None` (the production default) costs one branch.
 //!
@@ -36,9 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod inject;
-pub mod io;
 pub mod plan;
 
 pub use inject::{injector, none, FaultEvent, FaultInjector, Faults};
-pub use io::{FaultyRead, FaultyWrite};
 pub use plan::{FaultKind, FaultPlan, SiteRule, Trigger};

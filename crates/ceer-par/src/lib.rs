@@ -170,7 +170,6 @@ where
         let mut pieces: Vec<(usize, Vec<R>)> = Vec::with_capacity(chunks);
         let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
         for handle in handles {
-            // ceer-lint: allow(blocking-in-reactor) -- par_map is synchronous by contract; the join is the barrier its callers opt into
             match handle.join() {
                 Ok(mut chunks) => pieces.append(&mut chunks),
                 // Keep joining the remaining workers before re-raising so
@@ -190,23 +189,9 @@ where
     })
 }
 
-/// Runs `f` on every element of `items` on the worker pool, for effects
-/// only (e.g. filling per-item `Mutex` slots or firing requests).
-///
-/// Same scheduling, thread-count resolution and panic behaviour as
-/// [`par_map`].
-pub fn par_for_each<T, F>(items: &[T], f: F)
-where
-    T: Sync,
-    F: Fn(&T) + Sync,
-{
-    par_map(items, |item| f(item));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn matches_serial_map_in_order() {
@@ -260,17 +245,6 @@ mod tests {
             .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
             .unwrap_or_default();
         assert!(message.contains("poisoned work item"), "unexpected payload {message:?}");
-    }
-
-    #[test]
-    fn par_for_each_visits_every_item_once() {
-        let _guard = override_threads(8);
-        let counters: Vec<AtomicU64> = (0..100).map(|_| AtomicU64::new(0)).collect();
-        let indices: Vec<usize> = (0..counters.len()).collect();
-        par_for_each(&indices, |&i| {
-            counters[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(counters.iter().all(|c| c.load(Ordering::Relaxed) == 1));
     }
 
     #[test]

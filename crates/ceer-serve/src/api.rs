@@ -12,7 +12,7 @@ use ceer_core::plan::{self, PredictPlan};
 use ceer_core::recommend::{rank, Candidate, Objective, Workload};
 use ceer_core::{CeerModel, EstimateOptions};
 use ceer_gpusim::GpuModel;
-use ceer_graph::models::{Cnn, CnnId};
+use ceer_graph::models::CnnId;
 use ceer_graph::Graph;
 use serde::{Deserialize, Serialize};
 
@@ -64,6 +64,12 @@ pub fn parse_gpu(name: &str) -> Result<GpuModel, String> {
         _ => Err(format!("unknown GPU {name:?}; valid: P3/V100, P2/K80, G4/T4, G3/M60")),
     }
 }
+
+/// The largest per-GPU `batch` a request may ask for. Every zoo plan
+/// compiles at this batch, under overflow checks, with its parameter
+/// count unchanged; far larger batches wrap the shape, byte and sample
+/// arithmetic (2^62 on 4 GPUs divides by zero).
+pub const MAX_BATCH: u64 = 65_536;
 
 fn default_gpus() -> u32 {
     1
@@ -270,21 +276,23 @@ pub struct ZooEntry {
     pub training_memory_bytes: u64,
 }
 
-/// The `GET /zoo` listing (training graphs are built at batch 32, matching
-/// `ceer zoo`'s default).
+/// The `GET /zoo` listing at batch 32, matching `ceer zoo`'s default. The
+/// figures come from the memoized plans ([`plan::plan_for`]), which hold
+/// the training graph's parameter count, op count and memory estimate,
+/// so a listing expands only the graphs whose plans are not memoized.
 pub fn zoo() -> Vec<ZooEntry> {
     CnnId::all()
         .iter()
         .map(|&id| {
-            let graph = Cnn::build(id, 32).training_graph();
+            let plan = plan::plan_for(id, 32);
             ZooEntry {
                 name: id.name().to_string(),
-                parameters: graph.parameter_count(),
-                ops: graph.len() as u64,
+                parameters: plan.parameter_count(),
+                ops: plan.ops() as u64,
                 input_resolution: id.input_resolution(),
                 split: if CnnId::training_set().contains(&id) { "train" } else { "test" }
                     .to_string(),
-                training_memory_bytes: ceer_graph::analysis::estimate_memory(&graph).total_bytes(),
+                training_memory_bytes: plan.memory().total_bytes(),
             }
         })
         .collect()
@@ -331,8 +339,9 @@ pub fn catalog() -> Vec<CatalogEntry> {
 ///
 /// # Errors
 ///
-/// Errors on unknown CNN/GPU names, non-positive counts, or more GPUs than
-/// an instance of a requested GPU model offers.
+/// Errors on unknown CNN/GPU names, non-positive counts, a batch above
+/// [`MAX_BATCH`], or more GPUs than an instance of a requested GPU model
+/// offers.
 pub fn predict(model: &CeerModel, request: &PredictRequest) -> Result<PredictResponse, String> {
     let id = parse_cnn(&request.cnn)?;
     if request.batch == 0 {
@@ -349,8 +358,9 @@ pub fn predict(model: &CeerModel, request: &PredictRequest) -> Result<PredictRes
 ///
 /// # Errors
 ///
-/// Errors on unknown GPU names, non-positive counts, or more GPUs than an
-/// instance of a requested GPU model offers.
+/// Errors on unknown GPU names, non-positive counts, a batch above
+/// [`MAX_BATCH`], or more GPUs than an instance of a requested GPU model
+/// offers.
 pub fn predict_graph(
     model: &CeerModel,
     name: &str,
@@ -367,6 +377,7 @@ fn predict_targets(request: &PredictRequest) -> Result<Vec<GpuModel>, String> {
     if request.gpus == 0 || request.batch == 0 || request.samples == 0 {
         return Err("gpus, batch and samples must be positive".into());
     }
+    check_batch(request.batch)?;
     let targets: Vec<GpuModel> = match &request.gpu {
         Some(gpu) => vec![parse_gpu(gpu)?],
         None => GpuModel::all().to_vec(),
@@ -382,6 +393,14 @@ fn predict_targets(request: &PredictRequest) -> Result<Vec<GpuModel>, String> {
         }
     }
     Ok(targets)
+}
+
+/// Rejects a batch above [`MAX_BATCH`], naming the limit.
+fn check_batch(batch: u64) -> Result<(), String> {
+    if batch > MAX_BATCH {
+        return Err(format!("batch must be at most {MAX_BATCH}, got {batch}"));
+    }
+    Ok(())
 }
 
 /// The response for one compiled training graph, predicted on `targets`.
@@ -430,8 +449,9 @@ fn respond(
 ///
 /// # Errors
 ///
-/// Errors on unknown CNN names, non-positive counts, or a `max_gpus`
-/// beyond what every GPU model's largest instance offers.
+/// Errors on unknown CNN names, non-positive counts, a batch above
+/// [`MAX_BATCH`], or a `max_gpus` beyond what every GPU model's largest
+/// instance offers.
 pub fn recommend(
     model: &CeerModel,
     request: &RecommendRequest,
@@ -440,6 +460,7 @@ pub fn recommend(
     if request.samples == 0 || request.batch == 0 || request.max_gpus == 0 || request.epochs == 0 {
         return Err("samples, batch, max_gpus and epochs must be positive".into());
     }
+    check_batch(request.batch)?;
     // The sweep takes every GPU model up to `max_gpus`.
     let limit = GpuModel::all().iter().map(|&gpu| Catalog::max_gpus(gpu)).min().unwrap_or(0);
     if request.max_gpus > limit {
@@ -467,6 +488,7 @@ pub fn recommend(
 mod tests {
     use super::*;
     use ceer_core::{Ceer, FitConfig};
+    use ceer_graph::models::Cnn;
     use std::sync::OnceLock;
 
     fn model() -> &'static CeerModel {
@@ -594,6 +616,49 @@ mod tests {
     }
 
     #[test]
+    fn batches_beyond_the_limit_are_rejected() {
+        let mut req = predict_request();
+        let graph = Cnn::build(CnnId::AlexNet, 8).training_graph();
+        for batch in [MAX_BATCH + 1, 1 << 40, 1 << 62, u64::MAX] {
+            req.batch = batch;
+            let error = predict(model(), &req).unwrap_err();
+            assert!(error.contains("at most 65536"), "{error}");
+            let error = predict_graph(model(), "alexnet", &graph, &req).unwrap_err();
+            assert!(error.contains("at most 65536"), "{error}");
+        }
+        req.batch = MAX_BATCH;
+        req.gpus = 4;
+        let response = predict(model(), &req).unwrap();
+        assert!(response.predictions.iter().all(|p| p.epoch_cost_usd.is_finite()));
+
+        let mut request = RecommendRequest {
+            cnn: "vgg-16".into(),
+            objective: None,
+            samples: 1_200_000,
+            batch: 1 << 62,
+            max_gpus: 4,
+            epochs: 1,
+            market: false,
+            memory_fit: false,
+        };
+        assert!(recommend(model(), &request).unwrap_err().contains("at most 65536"));
+        request.batch = MAX_BATCH;
+        assert_eq!(recommend(model(), &request).unwrap().ranking.len(), 16);
+    }
+
+    #[test]
+    fn every_zoo_plan_compiles_at_the_batch_limit() {
+        // Tests build with overflow checks, so a wrap anywhere in shape,
+        // byte or parameter arithmetic panics here.
+        for &id in CnnId::all() {
+            let at_limit = plan::plan_for(id, MAX_BATCH);
+            let at_32 = plan::plan_for(id, 32);
+            assert_eq!(at_limit.parameter_count(), at_32.parameter_count(), "{id:?}");
+            assert_eq!(at_limit.ops(), at_32.ops(), "{id:?}");
+        }
+    }
+
+    #[test]
     fn recommend_agrees_with_library_recommendation() {
         let request = RecommendRequest {
             cnn: "inception-v3".into(),
@@ -642,6 +707,18 @@ mod tests {
         assert_eq!(zoo.len(), CnnId::all().len());
         assert_eq!(zoo.iter().filter(|e| e.split == "train").count(), 8);
         assert!(zoo.iter().all(|e| e.parameters > 0 && e.training_memory_bytes > 0));
+        // The plan-backed figures equal those of the training graph itself.
+        for (entry, &id) in zoo.iter().zip(CnnId::all()) {
+            let graph = Cnn::build(id, 32).training_graph();
+            assert_eq!(entry.name, id.name());
+            assert_eq!(entry.parameters, graph.parameter_count(), "{id:?}");
+            assert_eq!(entry.ops, graph.len() as u64, "{id:?}");
+            assert_eq!(
+                entry.training_memory_bytes,
+                ceer_graph::analysis::estimate_memory(&graph).total_bytes(),
+                "{id:?}"
+            );
+        }
 
         let catalog = catalog();
         assert_eq!(catalog.len(), 8);

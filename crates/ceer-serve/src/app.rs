@@ -5,11 +5,9 @@
 //! through [`App::route`], so the two produce byte-identical bodies by
 //! construction.
 //!
-//! `/predict` is special-cased through [`App::parse_predict`] /
-//! [`App::predict_hit`] / [`App::predict_compute`] so the evented
-//! server's micro-batching can split the endpoint at its natural seams —
-//! parse, cache probe, compute — while single requests take the exact
-//! same code path with a batch of one.
+//! `/predict` runs in three steps: [`App::parse_predict`] (body decode
+//! and canonical cache key), a cache probe, and on a miss one
+//! evaluation that `/predict_batch` shares for each of its misses.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -148,10 +146,10 @@ impl App {
                 Err(response) => response,
                 Ok((item, key)) => match self.predict_hit(key.as_deref()) {
                     Some(response) => response,
-                    None => self
-                        .predict_compute(&[(item, key)])
-                        .pop()
-                        .unwrap_or_else(|| error_response(500, "empty compute batch".to_string())),
+                    None => match self.predict_compute(&item, key.as_deref()) {
+                        Ok((_, body)) => Response::json(200, body),
+                        Err((status, error)) => error_response(status, error),
+                    },
                 },
             },
             ("POST", "/predict_batch") => self.predict_batch(request.body),
@@ -243,55 +241,43 @@ impl App {
     /// Cache probe for one `/predict` request. Disabled while an A/B
     /// candidate is active: a cached body carries no version attribution,
     /// so serving it would starve the evaluation's observation stream.
-    pub fn predict_hit(&self, key: Option<&str>) -> Option<Response> {
+    fn predict_hit(&self, key: Option<&str>) -> Option<Response> {
         if self.registry.candidate().is_some() {
             return None;
         }
         key.and_then(|k| self.cache.get(k)).map(|body| Response::json(200, body))
     }
 
-    /// Computes a batch of cache-missed `/predict` requests: per-item
-    /// version selection (seeded A/B when a candidate is active), fan-out
-    /// over the [`ceer_par`] pool, then serialize and cache each in order.
-    /// A batch of one is exactly the single-request path, so batched and
-    /// sequential answers are byte-identical.
-    pub fn predict_compute(
+    /// Computes one cache-missed `/predict` request, for `/predict` and
+    /// for each `/predict_batch` miss: version selection (seeded A/B when
+    /// a candidate is active), evaluation, the observation tap, and the
+    /// cache write. Returns the response with its serialized body.
+    ///
+    /// # Errors
+    ///
+    /// The status and message to answer with: 400 for an invalid
+    /// request, 500 when the response cannot serialize.
+    fn predict_compute(
         &self,
-        items: &[(api::PredictRequest, Option<String>)],
-    ) -> Vec<Response> {
-        let arms: Vec<(ModelVersion, std::sync::Arc<ceer_core::CeerModel>)> = items
-            .iter()
-            .map(|(_, key)| match key {
-                Some(key) => self.registry.select(key),
-                // No canonical key → nothing to split on; the incumbent
-                // answers.
-                None => (self.registry.version(), self.registry.model()),
-            })
-            .collect();
-        let work: Vec<(&api::PredictRequest, &std::sync::Arc<ceer_core::CeerModel>)> =
-            items.iter().zip(&arms).map(|((item, _), (_, model))| (item, model)).collect();
-        let results = ceer_par::par_map(&work, |&(item, model)| api::predict(model, item));
+        item: &api::PredictRequest,
+        key: Option<&str>,
+    ) -> Result<(api::PredictResponse, String), (u16, String)> {
+        let (version, model) = match key {
+            Some(key) => self.registry.select(key),
+            // No canonical key → nothing to split on; the incumbent
+            // answers.
+            None => (self.registry.version(), self.registry.model()),
+        };
+        let response = api::predict(&model, item).map_err(|error| (400, error))?;
+        let body = serde_json::to_string_pretty(&response)
+            .map_err(|e| (500, format!("response serialization failed: {e}")))?;
+        self.observe_prediction(item, &response, version);
         // Cache writes are paused during an A/B evaluation so neither
         // arm's bodies outlive the verdict.
-        let cache_writable = self.registry.candidate().is_none();
-        items
-            .iter()
-            .zip(&arms)
-            .zip(results)
-            .map(|(((item, key), (version, _)), result)| match result {
-                Ok(response) => match serde_json::to_string_pretty(&response) {
-                    Ok(body) => {
-                        self.observe_prediction(item, &response, *version);
-                        if let (Some(key), true) = (key, cache_writable) {
-                            self.cache.insert(key.clone(), body.clone());
-                        }
-                        Response::json(200, body)
-                    }
-                    Err(e) => error_response(500, format!("response serialization failed: {e}")),
-                },
-                Err(error) => error_response(400, error),
-            })
-            .collect()
+        if let (Some(key), None) = (key, self.registry.candidate()) {
+            self.cache.insert(key.to_string(), body.clone());
+        }
+        Ok((response, body))
     }
 
     /// Offers one computed prediction to the observation ring (one sample
@@ -360,9 +346,9 @@ impl App {
     /// Answers a `/predict_batch` request, sharing the single-`/predict`
     /// cache per item: each item's key lives in the `/predict` namespace,
     /// so a batch primes the cache for later single calls and vice versa.
-    /// Hits are answered from the stored body; misses fan out on the
-    /// [`ceer_par`] pool and are stored afterwards. Per-item errors are
-    /// never cached.
+    /// Hits are answered from the stored body; misses are computed one
+    /// after another, as single `/predict` misses are. Per-item errors
+    /// are never cached.
     fn predict_batch(&self, body: &[u8]) -> Response {
         let request: api::PredictBatchRequest = match serde_json::from_slice(body) {
             Ok(request) => request,
@@ -378,40 +364,20 @@ impl App {
         // The cache is disabled (reads and writes) while an A/B candidate
         // is active — see `predict_hit`.
         let cache_usable = self.registry.candidate().is_none();
-        // One serial cache pass up front, so concurrent duplicate items inside
-        // the batch don't race the pool for lock order.
+        // One cache pass up front, before any miss is computed and stored,
+        // so duplicate items inside one batch all miss or all hit.
         let hits: Vec<Option<String>> = if cache_usable {
             keys.iter().map(|key| key.as_deref().and_then(|k| self.cache.get(k))).collect()
         } else {
             vec![None; keys.len()]
         };
 
-        let misses: Vec<(usize, &api::PredictRequest)> = hits
+        let responses = request
+            .requests
             .iter()
-            .zip(&request.requests)
-            .enumerate()
-            .filter(|(_, (hit, _))| hit.is_none())
-            .map(|(i, (_, item))| (i, item))
-            .collect();
-        // Per-miss version selection, same routing as single `/predict`.
-        let arms: Vec<(ModelVersion, std::sync::Arc<ceer_core::CeerModel>)> = misses
-            .iter()
-            .map(|&(i, _)| match keys.get(i).and_then(Option::as_deref) {
-                Some(key) => self.registry.select(key),
-                None => (self.registry.version(), self.registry.model()),
-            })
-            .collect();
-        let work: Vec<(&api::PredictRequest, &std::sync::Arc<ceer_core::CeerModel>)> =
-            misses.iter().zip(&arms).map(|(&(_, item), (_, model))| (item, model)).collect();
-        let computed = ceer_par::par_map(&work, |&(item, model)| match api::predict(model, item) {
-            Ok(response) => api::PredictBatchItem { response: Some(response), error: None },
-            Err(error) => api::PredictBatchItem { response: None, error: Some(error) },
-        });
-
-        let mut computed = computed.into_iter().zip(arms);
-        let mut responses = Vec::with_capacity(request.requests.len());
-        for (i, hit) in hits.into_iter().enumerate() {
-            let item = match hit {
+            .zip(&keys)
+            .zip(hits)
+            .map(|((item, key), hit)| match hit {
                 // Stored bodies round-trip bit-exactly (serde_json preserves
                 // f64), so a cache hit equals the freshly computed response.
                 Some(body) => match serde_json::from_str::<api::PredictResponse>(&body) {
@@ -421,30 +387,14 @@ impl App {
                         error: Some(format!("corrupt cache entry: {e}")),
                     },
                 },
-                None => match computed.next() {
-                    Some((item, (version, _))) => {
-                        if let (Some(response), Some(request_item)) =
-                            (&item.response, request.requests.get(i))
-                        {
-                            self.observe_prediction(request_item, response, version);
-                            if let (Some(Some(key)), true) = (keys.get(i), cache_usable) {
-                                if let Ok(body) = serde_json::to_string_pretty(response) {
-                                    self.cache.insert(key.clone(), body);
-                                }
-                            }
-                        }
-                        item
+                None => match self.predict_compute(item, key.as_deref()) {
+                    Ok((response, _)) => {
+                        api::PredictBatchItem { response: Some(response), error: None }
                     }
-                    // Unreachable by construction (one computed item per miss),
-                    // but a handler answers rather than panics.
-                    None => api::PredictBatchItem {
-                        response: None,
-                        error: Some("internal error: fewer computed items than misses".to_string()),
-                    },
+                    Err((_, error)) => api::PredictBatchItem { response: None, error: Some(error) },
                 },
-            };
-            responses.push(item);
-        }
+            })
+            .collect();
         ok(&api::PredictBatchResponse { responses })
     }
 

@@ -1,7 +1,8 @@
 //! Per-connection state for the evented server: one receive buffer the
 //! zero-copy parser borrows from, one output buffer with a write cursor,
 //! and the `ReadHead → ReadBody → Dispatch → Write` state machine the
-//! event loop drives from readiness events.
+//! event loop drives from readiness events. Dispatch is not a state: a
+//! fully buffered request is answered inline and its response queued.
 //!
 //! A connection never owns a socket — the [`crate::evented`] loop talks
 //! to the transport through its `EventSource` token and keeps all
@@ -18,10 +19,6 @@ pub enum ConnState {
     ReadHead,
     /// Head parsed; waiting for `Content-Length` bytes of body.
     ReadBody,
-    /// A `/predict` cache miss is parked in the micro-batch; the
-    /// connection neither reads ahead nor times out until the batch
-    /// flush answers it (responses stay in request order).
-    AwaitBatch,
     /// Response queued; draining `out` to the socket.
     Write,
 }

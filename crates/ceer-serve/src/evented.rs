@@ -1,7 +1,6 @@
 //! The serve transport: every connection served from one thread by a
 //! readiness-driven loop over nonblocking sockets — accept, read, parse
-//! in place, dispatch, write — with a timer wheel for deadlines and
-//! automatic micro-batching of concurrent `/predict` requests.
+//! in place, dispatch, write — with a timer wheel for deadlines.
 //!
 //! The loop ([`EventedCore`]) is written against
 //! [`ceer_sim::ready::EventSource`] + [`ceer_sim::Clock`] and never
@@ -15,11 +14,9 @@
 //! Routes and bodies come from the shared [`App`]; faults land at the
 //! `serve.accept`, `serve.dispatch`, `serve.http.read` and
 //! `serve.http.write` sites; every 4xx and robustness event is counted.
-//! Connections are HTTP/1.1 keep-alive with pipelining, one loop thread
-//! holds 10k+ concurrent connections, and `/predict` coalescing
-//! ([`ServerConfig::batch_window_ms`]) turns N concurrent cache misses
-//! into one `predict_batch`-style fan-out over the `ceer-par` pool with
-//! byte-identical per-request answers. Everything else runs inline on
+//! Connections are HTTP/1.1 keep-alive with pipelining, and one loop
+//! thread holds 10k+ concurrent connections. Every request, `/predict`
+//! cache misses included, is answered inline through [`App::route`] on
 //! the loop thread, so an uncached request holds up every other
 //! connection until it is answered.
 //!
@@ -38,14 +35,13 @@ use ceer_faults::{FaultEvent, FaultKind, FaultPlan};
 use ceer_sim::ready::{EventSource, IoOutcome, Token, Wake};
 use ceer_sim::Clock;
 
-use crate::api;
 use crate::app::{canonical_route, App};
 use crate::conn::{Conn, ConnState};
 use crate::http::{self, ReadError};
 use crate::metrics::ServerEvent;
 use crate::parser::{parse_head, Head};
 use crate::registry::ModelRegistry;
-use crate::wheel::{TimerKind, TimerWheel};
+use crate::wheel::TimerWheel;
 
 /// Server configuration for [`EventedServer::start`].
 #[derive(Debug, Clone)]
@@ -66,10 +62,6 @@ pub struct ServerConfig {
     /// Max open connections; connections beyond it are shed with `429` +
     /// `Retry-After`.
     pub max_pending: usize,
-    /// How long to hold a `/predict` cache miss waiting for more to
-    /// coalesce into one batched fan-out (0 = every request dispatches in
-    /// its own arrival iteration).
-    pub batch_window_ms: u64,
     /// Seeded fault plan for chaos runs (`None` = no injection).
     pub faults: Option<FaultPlan>,
     /// Directory for crash-safe persistence (WAL + snapshots). `None`
@@ -89,7 +81,6 @@ impl Default for ServerConfig {
             request_timeout_ms: 10_000,
             max_body_bytes: http::MAX_BODY_BYTES,
             max_pending: 128,
-            batch_window_ms: 0,
             faults: None,
             data_dir: None,
         }
@@ -109,9 +100,6 @@ pub struct EventedConfig {
     pub max_body_bytes: usize,
     /// Max open connections; beyond it, accepts are shed with `429`.
     pub max_conns: usize,
-    /// How long a `/predict` cache miss waits for company before the
-    /// batch dispatches, ms (0 = dispatch in the same loop iteration).
-    pub batch_window_ms: u64,
 }
 
 impl From<&ServerConfig> for EventedConfig {
@@ -121,18 +109,8 @@ impl From<&ServerConfig> for EventedConfig {
             request_timeout_ms: config.request_timeout_ms,
             max_body_bytes: config.max_body_bytes,
             max_conns: config.max_pending.max(1),
-            batch_window_ms: config.batch_window_ms,
         }
     }
-}
-
-/// A `/predict` cache miss parked in the micro-batch.
-struct PendingPredict {
-    token: Token,
-    item: api::PredictRequest,
-    key: Option<String>,
-    started_us: u64,
-    keep_alive: bool,
 }
 
 /// What the buffer examiner decided about a connection.
@@ -159,8 +137,6 @@ pub struct EventedCore<S: EventSource> {
     cfg: EventedConfig,
     conns: BTreeMap<Token, Conn>,
     wheel: TimerWheel,
-    batch: Vec<PendingPredict>,
-    batch_armed: bool,
     draining: bool,
 }
 
@@ -174,8 +150,6 @@ impl<S: EventSource> EventedCore<S> {
             cfg,
             conns: BTreeMap::new(),
             wheel: TimerWheel::new(),
-            batch: Vec::new(),
-            batch_armed: false,
             draining: false,
         }
     }
@@ -202,7 +176,7 @@ impl<S: EventSource> EventedCore<S> {
     }
 
     /// Timers in the wheel, lazily cancelled ones included: at most one
-    /// live one per connection, plus the batch flush.
+    /// live one per connection.
     pub fn armed_timers(&self) -> usize {
         self.wheel.len()
     }
@@ -214,7 +188,7 @@ impl<S: EventSource> EventedCore<S> {
 
     /// Whether nothing is in flight (drain complete).
     pub fn is_idle(&self) -> bool {
-        self.conns.is_empty() && self.batch.is_empty()
+        self.conns.is_empty()
     }
 
     /// Stops accepting and flips `/readyz` to 503; open connections keep
@@ -262,10 +236,7 @@ impl<S: EventSource> EventedCore<S> {
         let due = self.wheel.advance(self.clock.now_ms());
         handled += due.len();
         for timer in due {
-            match timer.kind {
-                TimerKind::Conn(token) => self.guarded(token, Self::on_conn_timer),
-                TimerKind::BatchFlush => self.flush_batch(),
-            }
+            self.guarded(timer.token, Self::on_conn_timer);
         }
         self.flush_writes();
         Ok(handled)
@@ -345,12 +316,9 @@ impl<S: EventSource> EventedCore<S> {
         Ok(())
     }
 
-    /// The earliest deadline this connection can hit, or `None` while it
-    /// is parked in the batch (the flush answers it) or timeouts are off.
+    /// The earliest deadline this connection can hit, or `None` while
+    /// timeouts are off.
     fn conn_deadline(&self, conn: &Conn) -> Option<u64> {
-        if conn.state == ConnState::AwaitBatch {
-            return None;
-        }
         let read = (self.cfg.read_timeout_ms > 0)
             .then(|| conn.last_activity_ms.saturating_add(self.cfg.read_timeout_ms));
         let request = conn
@@ -380,7 +348,7 @@ impl<S: EventSource> EventedCore<S> {
             return;
         }
         conn.timer_at = Some(at);
-        self.wheel.schedule(at, TimerKind::Conn(token));
+        self.wheel.schedule(at, token);
     }
 
     /// A connection timer fired. Deadlines are lazy: recompute from
@@ -461,10 +429,8 @@ impl<S: EventSource> EventedCore<S> {
                 // Nothing more can arrive; don't re-read the EOF.
                 break;
             }
-            // A connection parked on the batch (or condemned) still
-            // drains its socket so readiness quiesces; parked bytes are
-            // buffered for later (bounded by the batch window), condemned
-            // ones discarded.
+            // A condemned connection still drains its socket so
+            // readiness quiesces; its bytes are discarded.
             let discard = conn.close_after_write;
             let mut cap = scratch.len();
             match self.app.faults.as_deref().and_then(|f| f.check("serve.http.read")) {
@@ -514,7 +480,7 @@ impl<S: EventSource> EventedCore<S> {
         loop {
             let now = self.clock.now_ms();
             let Some(conn) = self.conns.get_mut(&token) else { return };
-            if conn.close_after_write || conn.state == ConnState::AwaitBatch {
+            if conn.close_after_write {
                 return;
             }
             let had_start = conn.head_started_ms.is_some();
@@ -581,137 +547,25 @@ impl<S: EventSource> EventedCore<S> {
             self.app.metrics.bump(ServerEvent::RetriedRequest);
         }
 
-        enum Outcome {
-            Respond(crate::http::Response),
-            Park(api::PredictRequest, Option<String>),
-        }
         let started_us = self.clock.now_us();
-        let outcome = {
+        let response = {
             let Some(conn) = self.conns.get(&token) else { return false };
             let Some(request) = head.request(&conn.buf) else { return false };
-            if request.method == "POST" && request.path == "/predict" {
-                // Split at the /predict seams so misses can coalesce.
-                match self.app.parse_predict(request.body) {
-                    Err(response) => {
-                        let latency = self.clock.now_us().saturating_sub(started_us) as f64;
-                        self.app.metrics.record_with(
-                            "POST /predict",
-                            latency,
-                            true,
-                            &self.app.faults,
-                        );
-                        Outcome::Respond(response)
-                    }
-                    Ok((item, key)) => match self.app.predict_hit(key.as_deref()) {
-                        Some(response) => {
-                            let latency = self.clock.now_us().saturating_sub(started_us) as f64;
-                            self.app.metrics.record_with(
-                                "POST /predict",
-                                latency,
-                                false,
-                                &self.app.faults,
-                            );
-                            Outcome::Respond(response)
-                        }
-                        None => Outcome::Park(item, key),
-                    },
-                }
-            } else {
-                let response = self.app.route(request);
-                let latency = self.clock.now_us().saturating_sub(started_us) as f64;
-                let label = format!("{} {}", request.method, canonical_route(request.path));
-                self.app.metrics.record_with(
-                    &label,
-                    latency,
-                    response.is_error(),
-                    &self.app.faults,
-                );
-                Outcome::Respond(response)
-            }
+            let response = self.app.route(request);
+            let latency = self.clock.now_us().saturating_sub(started_us) as f64;
+            let label = format!("{} {}", request.method, canonical_route(request.path));
+            self.app.metrics.record_with(&label, latency, response.is_error(), &self.app.faults);
+            response
         };
-        match outcome {
-            Outcome::Respond(response) => {
-                // Success keeps the connection alive (unless the request
-                // said close); every error response closes.
-                let keep = head.keep_alive && !response.is_error();
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.silent_write_errors = false;
-                    conn.consume_request(head.total_len());
-                    conn.queue_response(&response, keep);
-                }
-                keep
-            }
-            Outcome::Park(item, key) => {
-                let at = self.clock.now_ms().saturating_add(self.cfg.batch_window_ms);
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.consume_request(head.total_len());
-                    conn.state = ConnState::AwaitBatch;
-                }
-                self.batch.push(PendingPredict {
-                    token,
-                    item,
-                    key,
-                    started_us,
-                    keep_alive: head.keep_alive,
-                });
-                if !self.batch_armed {
-                    self.wheel.schedule(at, TimerKind::BatchFlush);
-                    self.batch_armed = true;
-                }
-                false
-            }
+        // Success keeps the connection alive (unless the request said
+        // close); every error response closes.
+        let keep = head.keep_alive && !response.is_error();
+        if let Some(conn) = self.conns.get_mut(&token) {
+            conn.silent_write_errors = false;
+            conn.consume_request(head.total_len());
+            conn.queue_response(&response, keep);
         }
-    }
-
-    /// Dispatches the parked `/predict` batch: one model snapshot, one
-    /// fan-out over the `ceer-par` pool, answers queued back in arrival
-    /// order. A window of 0 means the flush timer fires in the same tick
-    /// the first miss parked.
-    fn flush_batch(&mut self) {
-        self.batch_armed = false;
-        if self.batch.is_empty() {
-            return;
-        }
-        let batch = std::mem::take(&mut self.batch);
-        let items: Vec<(api::PredictRequest, Option<String>)> =
-            batch.iter().map(|p| (p.item.clone(), p.key.clone())).collect();
-        let app = Arc::clone(&self.app);
-        let clock = Arc::clone(&self.clock);
-        let computed = catch_unwind(AssertUnwindSafe(|| {
-            let responses = app.predict_compute(&items);
-            let done_us = clock.now_us();
-            for (pending, response) in batch.iter().zip(&responses) {
-                let latency = done_us.saturating_sub(pending.started_us) as f64;
-                app.metrics.record_with("POST /predict", latency, response.is_error(), &app.faults);
-            }
-            responses
-        }));
-        match computed {
-            Ok(responses) => {
-                for (pending, response) in batch.iter().zip(responses) {
-                    let keep = pending.keep_alive && !response.is_error();
-                    if let Some(conn) = self.conns.get_mut(&pending.token) {
-                        conn.state = ConnState::Write;
-                        conn.silent_write_errors = false;
-                        conn.queue_response(&response, keep);
-                    }
-                    // Out of AwaitBatch: deadlines apply again.
-                    self.arm_conn_timer(pending.token);
-                    if keep {
-                        self.process_buffer(pending.token);
-                    }
-                }
-            }
-            Err(_) => {
-                // A panic inside the batched compute (injected poison in
-                // the metrics lock, a model bug): recover the loop, drop
-                // every parked connection.
-                self.app.metrics.bump(ServerEvent::PanicRecovered);
-                for pending in &batch {
-                    self.close_token(pending.token);
-                }
-            }
-        }
+        keep
     }
 
     /// Drives every connection with queued output until each is drained
@@ -894,7 +748,7 @@ impl EventedServer {
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name("ceer-serve-evented".to_string())
-                // ceer-lint: allow(thread-spawn) -- the single loop thread created once at server start; per-request parallelism still goes through ceer-par
+                // ceer-lint: allow(thread-spawn) -- the single loop thread created once at server start; it answers every request inline
                 .spawn(move || {
                     let mut wakes = Vec::new();
                     let mut drain_deadline = u64::MAX;

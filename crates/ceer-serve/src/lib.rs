@@ -6,8 +6,8 @@
 //! * [`ModelRegistry`] — the fitted [`ceer_core::CeerModel`] being served,
 //!   hot-swappable via `POST /reload` without dropping in-flight requests;
 //! * [`EventedServer`] — one loop thread serving every connection from
-//!   `epoll` (Linux only), with keep-alive, `/predict` micro-batching,
-//!   and graceful [`EventedServer::shutdown`];
+//!   `epoll` (Linux only), with keep-alive, every request answered
+//!   inline, and graceful [`EventedServer::shutdown`];
 //! * [`PredictionCache`] — an LRU of serialized responses keyed by the
 //!   canonical request (predictions are pure in `(model, request)`);
 //! * [`Metrics`] — per-endpoint request/error counts and latency quantiles

@@ -303,7 +303,7 @@ impl OnlineWorker {
         let thread_stop = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
             .name("ceer-online".to_string())
-            // ceer-lint: allow(thread-spawn) -- the single drain thread created once at server start; per-request parallelism still goes through ceer-par
+            // ceer-lint: allow(thread-spawn) -- the single drain thread created once at server start, off the request path
             .spawn(move || {
                 while !thread_stop.load(Ordering::SeqCst) {
                     app.drain_online();

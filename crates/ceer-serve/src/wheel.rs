@@ -1,7 +1,7 @@
-//! A hashed timer wheel for the evented server: request deadlines,
-//! idle-read timeouts, and batch-flush timers at millisecond
-//! granularity, all driven by whichever [`ceer_sim::Clock`] the event
-//! loop runs on.
+//! A hashed timer wheel for the evented server's connection deadlines
+//! (request deadlines and idle-read timeouts) at millisecond
+//! granularity, driven by whichever [`ceer_sim::Clock`] the event loop
+//! runs on.
 //!
 //! 256 slots, hashed by `deadline % 256`. [`TimerWheel::advance`] drains
 //! everything due at or before `now` and returns it ordered by
@@ -16,31 +16,22 @@ use ceer_sim::ready::Token;
 /// Number of wheel slots (one ms of deadlines per slot per rotation).
 const SLOTS: usize = 256;
 
-/// What a timer means to the event loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum TimerKind {
-    /// Re-examine a connection's deadlines (idle read timeout or
-    /// whole-request deadline); the loop recomputes the actual deadline
-    /// from connection state and either acts or re-arms.
-    Conn(Token),
-    /// Dispatch the pending `/predict` micro-batch.
-    BatchFlush,
-}
-
-/// One due timer, as returned by [`TimerWheel::advance`].
+/// One due timer, as returned by [`TimerWheel::advance`]. The loop
+/// recomputes the connection's actual deadline from its state and either
+/// acts or re-arms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Due {
     /// The deadline it was scheduled for (may be earlier than `now`).
     pub at: u64,
-    /// What to do.
-    pub kind: TimerKind,
+    /// The connection whose deadlines to re-examine.
+    pub token: Token,
 }
 
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     at: u64,
     seq: u64,
-    kind: TimerKind,
+    token: Token,
 }
 
 /// The wheel. All times are absolute clock milliseconds.
@@ -62,12 +53,12 @@ impl TimerWheel {
         TimerWheel { slots: (0..SLOTS).map(|_| Vec::new()).collect(), seq: 0, len: 0 }
     }
 
-    /// Arms a timer for absolute time `at` (ms).
-    pub fn schedule(&mut self, at: u64, kind: TimerKind) {
+    /// Arms a timer for connection `token` at absolute time `at` (ms).
+    pub fn schedule(&mut self, at: u64, token: Token) {
         self.seq += 1;
         let seq = self.seq;
         // ceer-lint: allow(panic-reachability) -- slot index is `% SLOTS`, always in range
-        self.slots[(at as usize) % SLOTS].push(Entry { at, seq, kind });
+        self.slots[(at as usize) % SLOTS].push(Entry { at, seq, token });
         self.len += 1;
     }
 
@@ -82,8 +73,8 @@ impl TimerWheel {
     }
 
     /// The earliest armed deadline, if any. A full scan — the wheel holds
-    /// one entry per open connection plus at most one batch timer, and
-    /// the loop asks once per iteration.
+    /// one live entry per open connection, and the loop asks once per
+    /// iteration.
     pub fn next_deadline(&self) -> Option<u64> {
         self.slots.iter().flatten().map(|e| e.at).min()
     }
@@ -107,7 +98,7 @@ impl TimerWheel {
         }
         self.len -= due.len();
         due.sort_by_key(|e| (e.at, e.seq));
-        due.into_iter().map(|e| Due { at: e.at, kind: e.kind }).collect()
+        due.into_iter().map(|e| Due { at: e.at, token: e.token }).collect()
     }
 }
 
@@ -118,19 +109,19 @@ mod tests {
     #[test]
     fn fires_in_deadline_then_insertion_order() {
         let mut wheel = TimerWheel::new();
-        wheel.schedule(30, TimerKind::Conn(3));
-        wheel.schedule(10, TimerKind::Conn(1));
-        wheel.schedule(10, TimerKind::BatchFlush);
-        wheel.schedule(20, TimerKind::Conn(2));
+        wheel.schedule(30, 3);
+        wheel.schedule(10, 1);
+        wheel.schedule(10, 4);
+        wheel.schedule(20, 2);
         assert_eq!(wheel.next_deadline(), Some(10));
 
         let due = wheel.advance(20);
-        let kinds: Vec<TimerKind> = due.iter().map(|d| d.kind).collect();
-        assert_eq!(kinds, vec![TimerKind::Conn(1), TimerKind::BatchFlush, TimerKind::Conn(2)]);
+        let tokens: Vec<Token> = due.iter().map(|d| d.token).collect();
+        assert_eq!(tokens, vec![1, 4, 2]);
         assert_eq!(wheel.len(), 1);
         assert_eq!(wheel.next_deadline(), Some(30));
         assert_eq!(wheel.advance(19), vec![]);
-        assert_eq!(wheel.advance(30), vec![Due { at: 30, kind: TimerKind::Conn(3) }]);
+        assert_eq!(wheel.advance(30), vec![Due { at: 30, token: 3 }]);
         assert!(wheel.is_empty());
     }
 
@@ -138,19 +129,19 @@ mod tests {
     fn same_slot_different_rotations_do_not_collide() {
         let mut wheel = TimerWheel::new();
         // 5 and 5+256 hash to the same slot; only the first is due at 5.
-        wheel.schedule(5, TimerKind::Conn(1));
-        wheel.schedule(5 + 256, TimerKind::Conn(2));
+        wheel.schedule(5, 1);
+        wheel.schedule(5 + 256, 2);
         let due = wheel.advance(5);
-        assert_eq!(due, vec![Due { at: 5, kind: TimerKind::Conn(1) }]);
+        assert_eq!(due, vec![Due { at: 5, token: 1 }]);
         assert_eq!(wheel.next_deadline(), Some(261));
         let due = wheel.advance(400);
-        assert_eq!(due, vec![Due { at: 261, kind: TimerKind::Conn(2) }]);
+        assert_eq!(due, vec![Due { at: 261, token: 2 }]);
     }
 
     #[test]
     fn zero_delay_timers_fire_immediately() {
         let mut wheel = TimerWheel::new();
-        wheel.schedule(7, TimerKind::BatchFlush);
+        wheel.schedule(7, 1);
         assert_eq!(wheel.advance(7).len(), 1);
     }
 }

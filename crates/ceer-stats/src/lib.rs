@@ -3,10 +3,10 @@
 //! The Ceer paper (Hafeez & Gandhi, IISWC 2020) builds its predictor out of a
 //! small set of statistical tools: ordinary least squares regression (simple,
 //! multiple, and polynomial), coefficient-of-determination diagnostics,
-//! sample medians and quantiles, empirical CDFs, and prediction-error
-//! metrics. This crate implements all of them from scratch, plus the
-//! deterministic random-number utilities that the GPU simulator uses to
-//! generate reproducible compute-time noise.
+//! sample medians and quantiles, and empirical CDFs. This crate implements
+//! all of them from scratch, plus the deterministic random-number
+//! utilities that the GPU simulator uses to generate reproducible
+//! compute-time noise.
 //!
 //! # Example
 //!
@@ -33,8 +33,6 @@ mod error;
 pub mod bootstrap;
 pub mod cdf;
 pub mod correlation;
-pub mod histogram;
-pub mod metrics;
 pub mod regression;
 pub mod rng;
 pub mod summary;

@@ -2,7 +2,7 @@
 
 use ceer_stats::cdf::EmpiricalCdf;
 use ceer_stats::regression::{r_squared, MultipleOls, PolynomialOls, SimpleOls};
-use ceer_stats::{correlation, metrics, summary};
+use ceer_stats::{correlation, summary};
 use proptest::prelude::*;
 
 fn finite_sample(min_len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -118,23 +118,6 @@ proptest! {
             let lhs = fit.predict(&a) + fit.predict(&b) - fit.predict(&[0.0, 0.0, 0.0]);
             prop_assert!((lhs - fit.predict(&sum)).abs() < 1e-6 * (1.0 + lhs.abs()));
         }
-    }
-
-    // --- metrics ---
-
-    #[test]
-    fn mape_is_zero_iff_perfect(obs in prop::collection::vec(1.0f64..1e6, 1..40)) {
-        prop_assert_eq!(metrics::mape(&obs, &obs).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn rmse_dominates_mae(
-        obs in finite_sample(2)
-    ) {
-        let pred: Vec<f64> = obs.iter().map(|v| v * 1.1 + 1.0).collect();
-        let mae = metrics::mae(&obs, &pred).unwrap();
-        let rmse = metrics::rmse(&obs, &pred).unwrap();
-        prop_assert!(rmse + 1e-9 >= mae);
     }
 
     // --- correlation ---

@@ -460,7 +460,6 @@ fn sim_cfg() -> EventedConfig {
         request_timeout_ms: 1_000,
         max_body_bytes: 64 * 1024,
         max_conns: 1024,
-        batch_window_ms: 0,
     }
 }
 
@@ -610,11 +609,12 @@ fn sim_accept_storm_10k_connections_on_one_core() {
 
 #[test]
 fn sim_timer_deadline_fires_during_batched_dispatch() {
-    // Two /predict cache misses park in a 5ms batch window while a third
-    // connection stalls mid-request; its 3ms read deadline pops from the
-    // timer wheel *inside* the window. The stalled client must get its
-    // 408 on time, the batch must still flush correctly, and the whole
-    // interleaving must replay byte-identically.
+    // Two /predict cache misses arrive 1ms apart while a third connection
+    // stalls mid-request; the misses are answered inline as they arrive,
+    // and the stalled one's 3ms read deadline pops from the timer wheel
+    // right after. The stalled client must get its 408 on time, both
+    // misses must answer byte-exactly, and the whole interleaving must
+    // replay byte-identically.
     let predict = |batch: u64| {
         let request = PredictRequest {
             cnn: "vgg-11".to_string(),
@@ -646,7 +646,6 @@ fn sim_timer_deadline_fires_during_batched_dispatch() {
         source.send_at(stalled, 1, b"POST /predict HTTP/1.1\r\ncontent-length: 64\r\n\r\n");
 
         let mut cfg = sim_cfg();
-        cfg.batch_window_ms = 5;
         cfg.read_timeout_ms = 3;
         let mut core = sim_core(source, None, cfg);
         core.run_until(5_000, 100_000).expect("sim run");

@@ -307,6 +307,40 @@ fn too_many_gpus_answer_400_without_a_panic() {
     server.shutdown();
 }
 
+/// Regression: a `batch` of 2^62 on 4 GPUs wrapped the epoch arithmetic
+/// to a division by zero (and smaller huge batches answered wrong
+/// numbers). Now every entry point answers 400 naming the limit, and the
+/// same keep-alive client goes on being served.
+#[test]
+fn huge_batches_answer_400_naming_the_limit() {
+    let server = start(16);
+    let mut conn = ClientConn::new(server.addr());
+    let huge: &[(&str, &[u8])] = &[
+        ("/predict", br#"{"cnn": "vgg11", "batch": 4611686018427387904, "gpus": 4}"#),
+        ("/predict", br#"{"cnn": "vgg16", "batch": 65537}"#),
+        ("/recommend", br#"{"cnn": "vgg11", "batch": 4611686018427387904}"#),
+    ];
+    for &(path, body) in huge {
+        let response = conn.request("POST", path, body).unwrap();
+        assert_eq!(response.status, 400, "{}", response.body);
+        assert!(response.body.contains("at most 65536"), "{}", response.body);
+        let next = conn.request("POST", "/predict", br#"{"cnn": "vgg16", "gpus": 2}"#).unwrap();
+        assert_eq!(next.status, 200, "{}", next.body);
+    }
+    let batch =
+        br#"{"requests": [{"cnn": "vgg11"}, {"cnn": "vgg11", "batch": 4611686018427387904}]}"#;
+    let response = conn.request("POST", "/predict_batch", batch).unwrap();
+    assert_eq!(response.status, 200, "{}", response.body);
+    let response: ceer::serve::api::PredictBatchResponse =
+        serde_json::from_str(&response.body).unwrap();
+    assert!(response.responses[0].response.is_some());
+    assert!(response.responses[1].error.as_ref().unwrap().contains("at most 65536"));
+
+    let metrics = Client::new(server.addr()).metrics().unwrap();
+    assert_eq!(metrics.robustness.panics_recovered, 0);
+    server.shutdown();
+}
+
 #[test]
 fn predict_batch_answers_too_many_gpus_per_item() {
     use ceer::serve::api::PredictBatchRequest;
@@ -463,8 +497,8 @@ fn concurrent_batches_are_identical_and_error_free() {
     // the same keys before the first insert lands).
     assert_eq!(client.predict_batch(&batch).unwrap(), expected);
 
-    // Overlapping batches from several client threads: the pool fan-out
-    // and the shared cache must never change a byte of any response.
+    // Overlapping batches from several client threads: the shared cache
+    // must never change a byte of any response.
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
             .map(|_| {

@@ -1,14 +1,11 @@
-//! Micro-batching equivalence: coalescing concurrent `/predict` cache
-//! misses into one batched fan-out is a *latency* optimization, not a
-//! semantic one. N clients arriving together inside a batch window must
+//! Concurrent `/predict` cache misses: N clients arriving together must
 //! receive responses byte-identical to the same N requests served one at
-//! a time on otherwise idle servers — at every batch window setting,
-//! including zero (flush immediately).
+//! a time on otherwise idle servers, and the loop must keep one deadline
+//! timer per connection however many requests it answers.
 //!
 //! Runs entirely under the ceer-sim readiness driver and virtual clock,
-//! so "concurrent" is exact (same virtual millisecond) and the
-//! coalescing itself is observable: in a 5ms window every batched
-//! response is written at the same virtual timestamp, the flush tick.
+//! so "concurrent" is exact (same virtual millisecond) and a run is a
+//! pure function of the scenario.
 
 use std::sync::{Arc, OnceLock};
 
@@ -34,7 +31,7 @@ fn model() -> &'static CeerModel {
 }
 
 /// Distinct batch sizes: every request is a distinct cache key, so each
-/// one is a miss that must travel through the batching path.
+/// one is a miss that must be computed.
 const BATCHES: [u64; 4] = [4, 8, 16, 32];
 
 fn wire(batch: u64) -> String {
@@ -53,37 +50,35 @@ fn wire(batch: u64) -> String {
     )
 }
 
-fn cfg(batch_window_ms: u64) -> EventedConfig {
+fn cfg() -> EventedConfig {
     EventedConfig {
         read_timeout_ms: 200,
         request_timeout_ms: 1_000,
         max_body_bytes: 64 * 1024,
         max_conns: 1024,
-        batch_window_ms,
     }
 }
 
-fn core(source: SimSource, batch_window_ms: u64) -> EventedCore<SimSource> {
+fn core(source: SimSource) -> EventedCore<SimSource> {
     let clock = source.clock();
     let app = Arc::new(App::new(ModelRegistry::from_model(model().clone()), 16, none()));
-    EventedCore::new(app, source, clock, cfg(batch_window_ms))
+    EventedCore::new(app, source, clock, cfg())
 }
 
-/// One request on an otherwise idle server: the unbatched reference.
+/// One request on an otherwise idle server: the reference.
 fn serve_single(batch: u64) -> Vec<u8> {
     let mut source = SimSource::new();
     let client = source.connect_at(0);
     source.send_at(client, 1, wire(batch).as_bytes());
-    let mut core = core(source, 0);
+    let mut core = core(source);
     core.run_until(5_000, 100_000).expect("sim run");
     assert!(core.source().server_closed(client), "single request conn closes");
     core.source().received(client).to_vec()
 }
 
-/// N concurrent requests (same virtual millisecond) through one server
-/// with the given batch window. Returns each client's full response
-/// bytes plus the trace digest.
-fn serve_concurrent(batch_window_ms: u64) -> (Vec<Vec<u8>>, String) {
+/// N concurrent requests (same virtual millisecond) through one server.
+/// Returns each client's full response bytes plus the trace digest.
+fn serve_concurrent() -> (Vec<Vec<u8>>, String) {
     let mut source = SimSource::new();
     let clients: Vec<_> = BATCHES
         .iter()
@@ -93,7 +88,7 @@ fn serve_concurrent(batch_window_ms: u64) -> (Vec<Vec<u8>>, String) {
             client
         })
         .collect();
-    let mut core = core(source, batch_window_ms);
+    let mut core = core(source);
     core.run_until(5_000, 100_000).expect("sim run");
     let received = clients
         .iter()
@@ -112,46 +107,24 @@ fn batched_responses_are_byte_identical_to_sequential_singles() {
         assert!(single.starts_with(b"HTTP/1.1 200"), "reference responses are 200s");
     }
 
-    for window in [0u64, 1, 5] {
-        let (batched, _) = serve_concurrent(window);
-        for (i, (got, want)) in batched.iter().zip(&singles).enumerate() {
-            assert_eq!(
-                got, want,
-                "window={window}ms request #{i} (batch={}) must be byte-identical \
-                 to its sequential single",
-                BATCHES[i]
-            );
-        }
+    let (concurrent, _) = serve_concurrent();
+    for (i, (got, want)) in concurrent.iter().zip(&singles).enumerate() {
+        assert_eq!(
+            got, want,
+            "request #{i} (batch={}) must be byte-identical to its sequential single",
+            BATCHES[i]
+        );
     }
 }
 
 #[test]
-fn a_window_actually_coalesces_and_replays_byte_identically() {
-    // With a 5ms window all four misses park and flush together: every
-    // response's first write lands on the same virtual millisecond.
-    let (batched, digest_a) = serve_concurrent(5);
-    assert_eq!(batched.len(), BATCHES.len());
-
-    let write_times: Vec<&str> = digest_a
-        .lines()
-        .filter(|line| line.contains(" write t"))
-        .map(|line| line.split("ms ").next().unwrap_or(""))
-        .collect();
-    assert!(
-        write_times.len() >= BATCHES.len(),
-        "expected one write per batched response, trace:\n{digest_a}"
-    );
-    let first = write_times.first().copied().unwrap_or("");
-    assert!(
-        write_times.iter().all(|&t| t == first),
-        "a single flush writes every batched response at one virtual time, \
-         got write times {write_times:?}"
-    );
-
-    // And the coalesced interleaving is still a pure function of the
+fn concurrent_misses_replay_byte_identically() {
+    // The interleaving of concurrent misses is a pure function of the
     // scenario: a second run produces an identical trace.
-    let (_, digest_b) = serve_concurrent(5);
-    assert_eq!(digest_a, digest_b, "batched run replays byte-identically");
+    let (concurrent, digest_a) = serve_concurrent();
+    assert_eq!(concurrent.len(), BATCHES.len());
+    let (_, digest_b) = serve_concurrent();
+    assert_eq!(digest_a, digest_b, "concurrent run replays byte-identically");
 }
 
 /// An answered `/predict` re-arms its connection's deadline timer, so a
@@ -166,12 +139,12 @@ fn keep_alive_predicts_keep_one_timer_per_connection() {
         let keep_alive = wire(1 + i).replace("Connection: close\r\n", "");
         source.send_at(client, 1 + 2 * i, keep_alive.as_bytes());
     }
-    let mut core = core(source, 0);
+    let mut core = core(source);
     // Stop before the first read deadline (200ms), while every timer
     // armed so far is still pending.
     core.run_until(150, 100_000).expect("sim run");
     let received = String::from_utf8_lossy(core.source().received(client)).into_owned();
     assert_eq!(received.matches("HTTP/1.1 200").count() as u64, REQUESTS);
     assert!(!core.source().server_closed(client), "the connection stays open");
-    assert!(core.armed_timers() <= 2, "{} timers armed for one connection", core.armed_timers());
+    assert!(core.armed_timers() <= 1, "{} timers armed for one connection", core.armed_timers());
 }
