@@ -3,12 +3,12 @@
 //! routing it through the simulated cluster's event loop, and a full
 //! HTTP round trip against the real-TCP cluster on loopback.
 //!
-//! Besides the criterion timings this bench writes `BENCH_cluster.json`
-//! at the repository root. The numbers are honest about the host: on a
-//! single core the TCP arm measures connect-per-request plus
-//! thread-handoff overhead with every node time-slicing one CPU, so read
-//! the sim arm (single-threaded by construction) for the state-machine
-//! cost and the TCP arm as an upper bound.
+//! This bench writes `BENCH_cluster.json` at the repository root. The
+//! numbers are honest about the host: on a single core the TCP arm
+//! measures connect-per-request plus thread-handoff overhead with every
+//! node time-slicing one CPU, so read the sim arm (single-threaded by
+//! construction) for the state-machine cost and the TCP arm as an upper
+//! bound.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -23,7 +23,6 @@ use ceer_graph::models::CnnId;
 use ceer_serve::api::{self, PredictRequest};
 use ceer_serve::Client;
 use ceer_sim::{NetProfile, NodeId, Sim};
-use criterion::Criterion;
 
 /// Repetitions behind each snapshot median.
 const SNAPSHOT_REPS: usize = 5;
@@ -174,29 +173,6 @@ fn write_snapshot(model: &Arc<CeerModel>) {
     std::fs::remove_file(&model_path).ok();
 }
 
-fn bench_direct(c: &mut Criterion, model: &Arc<CeerModel>) {
-    let request: PredictRequest = serde_json::from_str(BODY).expect("parses");
-    let mut group = c.benchmark_group("cluster_direct");
-    group.sample_size(20);
-    group.bench_function("api_predict", |b| {
-        b.iter(|| api::predict(black_box(model), black_box(&request)).expect("predicts"));
-    });
-    group.finish();
-}
-
-fn bench_sim(c: &mut Criterion, model: &Arc<CeerModel>) {
-    let mut group = c.benchmark_group("cluster_sim");
-    group.sample_size(10);
-    group.bench_function(format!("predict_x{SIM_REQUESTS}"), |b| {
-        b.iter(|| run_sim_batch(model, SIM_REQUESTS));
-    });
-    group.finish();
-}
-
 fn main() {
-    let model = Arc::new(tiny_model());
-    let mut criterion = Criterion::default();
-    bench_direct(&mut criterion, &model);
-    bench_sim(&mut criterion, &model);
-    write_snapshot(&model);
+    write_snapshot(&Arc::new(tiny_model()));
 }

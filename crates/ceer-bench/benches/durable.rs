@@ -9,8 +9,7 @@
 //! snapshot and a populated WAL suffix — the cold-start price a serving
 //! process pays after a crash.
 //!
-//! Besides the criterion timings this bench writes `BENCH_durable.json`
-//! at the repository root.
+//! This bench writes `BENCH_durable.json` at the repository root.
 
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -18,7 +17,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ceer_durable::{write_atomic, DurableRecord, DurableStore, FsStorage, Storage};
-use criterion::Criterion;
 
 /// Repetitions behind each snapshot median.
 const SNAPSHOT_REPS: usize = 5;
@@ -169,34 +167,6 @@ fn write_snapshot() {
     println!("wrote {path}");
 }
 
-fn bench_commit(c: &mut Criterion) {
-    let mut group = c.benchmark_group("durable_commit");
-    group.sample_size(20);
-    let dir = scratch("criterion", 0);
-    let store = open_store(&dir);
-    let mut version = 0u64;
-    group.bench_function("single_record", |b| {
-        b.iter(|| {
-            version += 1;
-            store.log(&record(version)).expect("log");
-            black_box(store.commit().expect("commit"))
-        });
-    });
-    group.bench_function(format!("group_{GROUP}"), |b| {
-        b.iter(|| {
-            let records: Vec<DurableRecord> =
-                (version + 1..=version + GROUP as u64).map(record).collect();
-            version += GROUP as u64;
-            black_box(store.log_all(&records).expect("group commit"))
-        });
-    });
-    group.finish();
-    drop(store);
-    let _ = std::fs::remove_dir_all(dir);
-}
-
 fn main() {
-    let mut criterion = Criterion::default();
-    bench_commit(&mut criterion);
     write_snapshot();
 }

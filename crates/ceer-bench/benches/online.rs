@@ -9,8 +9,7 @@
 //! `tests/online_equivalence.rs`) — this bench quantifies why the online
 //! loop keeps accumulators instead of sample logs.
 //!
-//! Besides the criterion timings this bench writes `BENCH_online.json`
-//! at the repository root.
+//! This bench writes `BENCH_online.json` at the repository root.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -19,7 +18,6 @@ use ceer_core::features::Features;
 use ceer_core::{OpModel, OpModelAccumulator};
 use ceer_gpusim::GpuModel;
 use ceer_graph::OpKind;
-use criterion::Criterion;
 
 /// Repetitions behind each snapshot median.
 const SNAPSHOT_REPS: usize = 5;
@@ -137,33 +135,6 @@ fn write_snapshot() {
     println!("wrote {path}");
 }
 
-fn bench_refit(c: &mut Criterion) {
-    let mut group = c.benchmark_group("online_refit");
-    group.sample_size(20);
-    let history = HISTORIES[2];
-    let warm = warm_accumulator(history);
-    group.bench_function(format!("incremental_fold{BATCH}_after_{history}"), |b| {
-        b.iter(|| {
-            // Clone so every iteration folds into the same-size history
-            // (the clone is a memcpy, small against the refold the
-            // incremental path avoids).
-            let mut acc = warm.clone();
-            for i in history..history + BATCH {
-                let (f, y) = sample(i);
-                acc.push(&f, y);
-            }
-            black_box(acc.fit().expect("fits"))
-        });
-    });
-    let all: Vec<(Features, f64)> = (0..history + BATCH).map(sample).collect();
-    group.bench_function(format!("scratch_refit_{}", history + BATCH), |b| {
-        b.iter(|| black_box(OpModel::fit(OpKind::Conv2D, GpuModel::V100, black_box(&all))));
-    });
-    group.finish();
-}
-
 fn main() {
-    let mut criterion = Criterion::default();
-    bench_refit(&mut criterion);
     write_snapshot();
 }

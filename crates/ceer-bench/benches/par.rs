@@ -1,9 +1,9 @@
 //! Serial vs parallel wall clock for the `ceer-par`-backed hot paths:
 //! fitting, cross-validation and the recommendation sweep.
 //!
-//! Besides the usual criterion timings this bench writes `BENCH_par.json`
-//! at the repository root: a snapshot of serial vs 4-thread medians with
-//! the host's core count, so the committed numbers can be read in context.
+//! This bench writes `BENCH_par.json` at the repository root: a snapshot
+//! of serial vs 4-thread medians with the host's core count, so the
+//! committed numbers can be read in context.
 //! On a single-core host the 4-thread run measures pure pool overhead
 //! (threads time-slice one core); the speedup materializes with the cores.
 
@@ -15,7 +15,6 @@ use ceer_core::crossval::leave_one_out;
 use ceer_core::recommend::Workload;
 use ceer_core::{Ceer, FitConfig};
 use ceer_graph::models::{Cnn, CnnId};
-use criterion::Criterion;
 
 /// Thread count of the parallel arm in the snapshot.
 const PAR_THREADS: usize = 4;
@@ -123,52 +122,6 @@ fn write_snapshot() {
     println!("wrote {path}");
 }
 
-fn bench_fit(c: &mut Criterion) {
-    let config = small_config();
-    let mut group = c.benchmark_group("par_fit");
-    group.sample_size(10);
-    for threads in [1, PAR_THREADS] {
-        group.bench_function(format!("{threads}_threads"), |b| {
-            let _guard = ceer_par::override_threads(threads);
-            b.iter(|| Ceer::fit(black_box(&config)));
-        });
-    }
-    group.finish();
-}
-
-fn bench_crossval(c: &mut Criterion) {
-    let config = small_config();
-    let mut group = c.benchmark_group("par_crossval");
-    group.sample_size(10);
-    for threads in [1, PAR_THREADS] {
-        group.bench_function(format!("{threads}_threads"), |b| {
-            let _guard = ceer_par::override_threads(threads);
-            b.iter(|| leave_one_out(black_box(&config), &[1]));
-        });
-    }
-    group.finish();
-}
-
-fn bench_recommend(c: &mut Criterion) {
-    let model = Ceer::fit(&small_config());
-    let cnn = Cnn::build(CnnId::ResNet101, 32);
-    let catalog = Catalog::new(Pricing::OnDemand);
-    let workload = Workload::new(1_200_000, 4);
-    let mut group = c.benchmark_group("par_recommend");
-    group.sample_size(20);
-    for threads in [1, PAR_THREADS] {
-        group.bench_function(format!("{threads}_threads"), |b| {
-            let _guard = ceer_par::override_threads(threads);
-            b.iter(|| model.evaluate_candidates(black_box(&cnn), &catalog, &workload));
-        });
-    }
-    group.finish();
-}
-
 fn main() {
-    let mut criterion = Criterion::default();
-    bench_fit(&mut criterion);
-    bench_crossval(&mut criterion);
-    bench_recommend(&mut criterion);
     write_snapshot();
 }

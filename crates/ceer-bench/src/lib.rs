@@ -1,1 +1,1 @@
-//! Shared helpers for the Criterion benchmark suite (see `benches/`).
+//! Shared helpers for the snapshot benches (see `benches/`).

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use crate::classify::Classification;
 use crate::comm::CommModel;
 use crate::opmodel::OpModel;
-use crate::plan::PredictPlan;
+use crate::plan::{self, PredictPlan};
 
 /// Term-inclusion switches for the estimator — the paper quantifies the
 /// error of dropping each term (§IV-A/B: ignoring light + CPU ops costs
@@ -183,9 +183,10 @@ impl CeerModel {
         self.predict_plan(&PredictPlan::new(graph), gpu, gpus, options)
     }
 
-    /// Predicts the time (µs) to train one epoch of `total_samples` samples:
-    /// Eq. (2), `T = (S + Σ t) · D/(k·B)` with `B` the per-GPU batch size
-    /// the graph was built with.
+    /// Predicts the time (µs) to train one epoch of `total_samples` samples
+    /// of `cnn`: Eq. (2), `T = (S + Σ t) · D/(k·B)` with `B` the per-GPU
+    /// batch `cnn` was built with. Evaluates the memoized plan of `cnn`'s
+    /// training graph ([`plan::plan_for`]).
     ///
     /// # Panics
     ///
@@ -193,14 +194,14 @@ impl CeerModel {
     pub fn predict_epoch_us(
         &self,
         cnn: &Cnn,
-        graph: &Graph,
         gpu: GpuModel,
         gpus: u32,
         total_samples: u64,
         options: &EstimateOptions,
     ) -> f64 {
         assert!(total_samples > 0, "epoch needs samples");
-        let iteration = self.predict_iteration(graph, gpu, gpus, options);
+        let plan = plan::plan_for(cnn.id(), cnn.batch());
+        let iteration = self.predict_plan(&plan, gpu, gpus, options);
         epoch_us(&iteration, cnn.batch(), gpus, total_samples)
     }
 
@@ -209,14 +210,12 @@ impl CeerModel {
     pub fn predict_cost_usd(
         &self,
         cnn: &Cnn,
-        graph: &Graph,
         instance: &Instance,
         total_samples: u64,
         options: &EstimateOptions,
     ) -> f64 {
         let us = self.predict_epoch_us(
             cnn,
-            graph,
             instance.gpu(),
             instance.gpu_count(),
             total_samples,
@@ -289,12 +288,11 @@ mod tests {
     fn epoch_prediction_scales_with_samples_and_gpus() {
         let model = small_model();
         let cnn = Cnn::build(CnnId::Vgg19, 32);
-        let graph = cnn.training_graph();
         let opts = EstimateOptions::default();
-        let small = model.predict_epoch_us(&cnn, &graph, GpuModel::V100, 1, 3200, &opts);
-        let large = model.predict_epoch_us(&cnn, &graph, GpuModel::V100, 1, 6400, &opts);
+        let small = model.predict_epoch_us(&cnn, GpuModel::V100, 1, 3200, &opts);
+        let large = model.predict_epoch_us(&cnn, GpuModel::V100, 1, 6400, &opts);
         assert!((large / small - 2.0).abs() < 1e-9);
-        let two = model.predict_epoch_us(&cnn, &graph, GpuModel::V100, 2, 6400, &opts);
+        let two = model.predict_epoch_us(&cnn, GpuModel::V100, 2, 6400, &opts);
         assert!(two < large, "2 GPUs should beat 1 on epoch time");
     }
 
@@ -302,12 +300,11 @@ mod tests {
     fn cost_prediction_uses_instance_price() {
         let model = small_model();
         let cnn = Cnn::build(CnnId::InceptionV3, 32);
-        let graph = cnn.training_graph();
         let catalog = Catalog::new(Pricing::OnDemand);
         let opts = EstimateOptions::default();
         let p3 = catalog.instance(GpuModel::V100, 1);
-        let time_us = model.predict_epoch_us(&cnn, &graph, GpuModel::V100, 1, 64_000, &opts);
-        let cost = model.predict_cost_usd(&cnn, &graph, &p3, 64_000, &opts);
+        let time_us = model.predict_epoch_us(&cnn, GpuModel::V100, 1, 64_000, &opts);
+        let cost = model.predict_cost_usd(&cnn, &p3, 64_000, &opts);
         assert!((cost - time_us * 3.06 / 3.6e9).abs() < 1e-9);
     }
 

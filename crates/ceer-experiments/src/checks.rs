@@ -7,6 +7,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::Table;
+
 /// One paper claim with the measured counterpart.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Check {
@@ -21,10 +23,11 @@ pub struct Check {
     pub pass: bool,
 }
 
-/// Collects checks and prints a verdict block.
+/// Collects checks and renders a verdict block.
 #[derive(Debug, Clone, Default)]
 pub struct CheckList {
     checks: Vec<Check>,
+    notes: String,
 }
 
 impl CheckList {
@@ -47,6 +50,12 @@ impl CheckList {
             measured: measured.into(),
             pass,
         });
+    }
+
+    /// Appends text that the verdict block renders, verbatim, after its
+    /// tally line: an interpretation of the verdicts above it.
+    pub fn note(&mut self, text: &str) {
+        self.notes.push_str(text);
     }
 
     /// The recorded checks.
@@ -72,38 +81,41 @@ impl CheckList {
             ));
         }
         out.push_str(&format!("  => {}/{} checks match\n", self.passed(), self.checks.len()));
+        out.push_str(&self.notes);
         out
     }
+}
 
-    /// Prints the verdict block to stdout and, when `CEER_RESULTS_DIR` is
-    /// set, also writes the checks as JSON (named after the running binary)
-    /// so `exp_summary` can aggregate them.
-    pub fn print(&self) {
-        print!("{}", self.render());
-        self.write_results_json();
-    }
-
-    /// Writes the checks as JSON into `CEER_RESULTS_DIR` (named after the
-    /// running binary) when that variable is set; does nothing otherwise.
-    /// Split from [`CheckList::print`] so tests can exercise rendering
-    /// without touching the filesystem.
-    pub fn write_results_json(&self) {
-        if let Ok(dir) = std::env::var("CEER_RESULTS_DIR") {
-            let name = std::env::args()
-                .next()
-                .and_then(|p| {
-                    std::path::Path::new(&p).file_stem().map(|s| s.to_string_lossy().into_owned())
-                })
-                .unwrap_or_else(|| "unknown".to_string());
-            let path = std::path::Path::new(&dir).join(format!("{name}.checks.json"));
-            let _ = std::fs::create_dir_all(&dir);
-            if let Ok(json) = serde_json::to_vec_pretty(&self.checks) {
-                if let Err(e) = ceer_durable::write_atomic(&path, &json) {
-                    eprintln!("[ceer] could not write {}: {e}", path.display());
-                }
-            }
+/// Renders the reproduction scorecard over every regenerator's checks:
+/// one row per regenerator in name order, the total tally, and each
+/// deviation.
+pub fn scorecard(results: &[(&str, CheckList)]) -> String {
+    let mut entries: Vec<&(&str, CheckList)> = results.iter().collect();
+    entries.sort_by_key(|(name, _)| *name);
+    let mut table = Table::new(vec!["experiment", "checks", "deviations"]);
+    let mut total = 0;
+    let mut passed = 0;
+    let mut deviations = String::new();
+    for (name, checks) in entries {
+        let ok = checks.passed();
+        let all = checks.checks().len();
+        table.row(vec![name.to_string(), format!("{ok}/{all}"), format!("{}", all - ok)]);
+        total += all;
+        passed += ok;
+        for c in checks.checks().iter().filter(|c| !c.pass) {
+            deviations.push_str(&format!(
+                "  - [{name}] {}: paper {} | measured {}\n",
+                c.name, c.paper, c.measured
+            ));
         }
     }
+    let mut out = format!("== Reproduction scorecard ==\n\n{}", table.render());
+    out.push_str(&format!("\ntotal: {passed}/{total} paper-vs-measured checks match\n"));
+    if !deviations.is_empty() {
+        out.push_str("\ndocumented deviations (see EXPERIMENTS.md):\n");
+        out.push_str(&deviations);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -128,5 +140,28 @@ mod tests {
         assert!(r.contains("[ok] x"));
         assert!(r.contains("[DEVIATION] y"));
         assert!(r.contains("1/2 checks match"));
+    }
+
+    #[test]
+    fn notes_follow_the_tally() {
+        let mut c = CheckList::new();
+        c.add("x", "1", "1", true);
+        c.note("note: first\n");
+        c.note("second\n");
+        assert!(c.render().ends_with("  => 1/1 checks match\nnote: first\nsecond\n"));
+    }
+
+    #[test]
+    fn scorecard_sorts_by_name_and_lists_deviations() {
+        let mut a = CheckList::new();
+        a.add("good", "1", "1", true);
+        let mut b = CheckList::new();
+        b.add("bad", "G4 wins", "P3 wins", false);
+        b.add("fine", "2", "2", true);
+        let card = scorecard(&[("fig2_op_times", a), ("fig10_total_budget", b)]);
+        let fig10 = card.find("fig10_total_budget").expect("row");
+        assert!(fig10 < card.find("fig2_op_times").expect("row"));
+        assert!(card.contains("total: 2/3 paper-vs-measured checks match\n"));
+        assert!(card.ends_with("  - [fig10_total_budget] bad: paper G4 wins | measured P3 wins\n"));
     }
 }

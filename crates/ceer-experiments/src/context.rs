@@ -1,19 +1,29 @@
-//! Experiment configuration and the cached fitting step.
+//! Experiment configuration and the in-memory fitting step.
 
-use std::fs;
-use std::path::PathBuf;
+use std::sync::OnceLock;
+use std::time::Instant;
 
 use ceer_core::{Ceer, CeerModel, FitConfig};
+use ceer_graph::models::Cnn;
+use ceer_graph::Graph;
+use ceer_trainer::TrainingProfile;
 
 /// Seed offset for observation runs, so observed noise is independent of the
 /// noise Ceer was fitted on.
 pub const OBSERVATION_SEED_OFFSET: u64 = 0x5EED_0B5E;
 
-/// Shared configuration for an experiment run.
+/// One fitting run's raw output: each training CNN, its training graph and
+/// its profiles on every (GPU model, parallel degree).
+pub type FitProfiles = Vec<(Cnn, Graph, Vec<TrainingProfile>)>;
+
+/// Shared configuration for an experiment run, plus the profiles and the
+/// model fitted from it (each computed once, on first use).
 #[derive(Debug, Clone)]
 pub struct ExperimentContext {
     fit_config: FitConfig,
     observe_iterations: usize,
+    profiles: OnceLock<FitProfiles>,
+    model: OnceLock<CeerModel>,
 }
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -32,14 +42,19 @@ impl ExperimentContext {
             seed: env_u64("CEER_SEED", 0),
             ..FitConfig::default()
         };
-        ExperimentContext { fit_config, observe_iterations: env_usize("CEER_OBS_ITERS", 40) }
+        Self::with_config(fit_config, env_usize("CEER_OBS_ITERS", 40))
     }
 
     /// Builds a context with an explicit configuration, ignoring the
     /// environment. Used by the golden-file regression tests, which need a
     /// fixed (and small) configuration regardless of the caller's knobs.
     pub fn with_config(fit_config: FitConfig, observe_iterations: usize) -> Self {
-        ExperimentContext { fit_config, observe_iterations }
+        ExperimentContext {
+            fit_config,
+            observe_iterations,
+            profiles: OnceLock::new(),
+            model: OnceLock::new(),
+        }
     }
 
     /// The fitting configuration (the paper's full methodology: 8 training
@@ -58,62 +73,30 @@ impl ExperimentContext {
         self.fit_config.seed ^ OBSERVATION_SEED_OFFSET
     }
 
-    fn cache_path(&self) -> PathBuf {
-        let key = format!(
-            "iters{}-seed{}-batch{}",
-            self.fit_config.iterations, self.fit_config.seed, self.fit_config.batch
-        );
-        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../../target/ceer-cache")
-            .join(format!("model-{key}.json"))
+    /// The profiles [`fitted_model`](Self::fitted_model) is fitted from
+    /// ([`Ceer::collect_profiles`] of this context's [`FitConfig`]),
+    /// collected on first use and kept in memory.
+    pub fn fit_profiles(&self) -> &FitProfiles {
+        self.profiles.get_or_init(|| Ceer::collect_profiles(&self.fit_config))
     }
 
-    /// Fits Ceer on the paper's training set, reusing a cached model when
-    /// one exists for this configuration (the cache lives under `target/`).
-    pub fn fitted_model(&self) -> CeerModel {
-        self.fitted_model_with_faults(&ceer_faults::none())
-    }
-
-    /// [`fitted_model`](Self::fitted_model) under fault injection. The
-    /// model cache is an *optional* optimization, so injected faults
-    /// degrade rather than fail: an error at `experiments.cache.read`
-    /// skips the cache and re-fits; one at `experiments.cache.write`
-    /// skips persisting. Either way the returned model is identical to a
-    /// cache-free fit.
-    pub fn fitted_model_with_faults(&self, faults: &ceer_faults::Faults) -> CeerModel {
-        let path = self.cache_path();
-        let cache_readable =
-            faults.as_ref().is_none_or(|f| f.fail_io("experiments.cache.read").is_ok());
-        if cache_readable {
-            if let Ok(bytes) = fs::read(&path) {
-                if let Ok(model) = serde_json::from_slice::<CeerModel>(&bytes) {
-                    eprintln!("[ceer] reusing cached model: {}", path.display());
-                    return model;
-                }
-            }
-        }
-        eprintln!(
-            "[ceer] fitting on {} CNNs x {} GPUs ({} iterations)...",
-            self.fit_config.cnns.len(),
-            self.fit_config.gpus.len(),
-            self.fit_config.iterations
-        );
-        // Wall-clock progress line on stderr; never in results.
-        let started = std::time::Instant::now();
-        let model = Ceer::fit(&self.fit_config);
-        eprintln!("[ceer] fit done in {:.1?}", started.elapsed());
-        let cache_writable =
-            faults.as_ref().is_none_or(|f| f.fail_io("experiments.cache.write").is_ok());
-        if cache_writable {
-            if let Some(dir) = path.parent() {
-                let _ = fs::create_dir_all(dir);
-            }
-            if let Ok(json) = serde_json::to_vec(&model) {
-                // Atomic: a crashed run must not poison the cache for the next.
-                let _ = ceer_durable::write_atomic(&path, &json);
-            }
-        }
-        model
+    /// Ceer fitted on the paper's training set with this context's
+    /// [`FitConfig`], equal to [`Ceer::fit`] of it. The first call fits
+    /// (progress goes to stderr); every later call on this context returns
+    /// the same in-memory model.
+    pub fn fitted_model(&self) -> &CeerModel {
+        self.model.get_or_init(|| {
+            eprintln!(
+                "[ceer] fitting on {} CNNs x {} GPUs ({} iterations)...",
+                self.fit_config.cnns.len(),
+                self.fit_config.gpus.len(),
+                self.fit_config.iterations
+            );
+            let started = Instant::now();
+            let model = Ceer::fit_from_profiles(&self.fit_config, self.fit_profiles());
+            eprintln!("[ceer] fit done in {:.1?}", started.elapsed());
+            model
+        })
     }
 }
 
@@ -140,37 +123,24 @@ mod tests {
     }
 
     #[test]
-    fn cache_path_encodes_config() {
-        let ctx = ExperimentContext::from_env();
-        let path = ctx.cache_path();
-        assert!(path.to_string_lossy().contains("model-iters"));
-    }
-
-    #[test]
-    fn cache_faults_degrade_to_refitting() {
+    fn fitted_model_follows_the_whole_config_and_fits_once() {
         use ceer_graph::models::CnnId;
 
         let config = FitConfig {
-            cnns: vec![CnnId::Vgg11],
+            cnns: vec![CnnId::Vgg11, CnnId::InceptionV1],
             iterations: 2,
             parallel_degrees: vec![1],
             seed: 91,
             ..FitConfig::default()
         };
-        let ctx = ExperimentContext::with_config(config.clone(), 4);
-        // Both cache sites fail: the fit must proceed as if uncached and
-        // produce the exact same model.
-        let faults = ceer_faults::injector(
-            ceer_faults::FaultPlan::parse(
-                0,
-                "experiments.cache.read=err@1;experiments.cache.write=err@1",
-            )
-            .unwrap(),
-        );
-        let model = ctx.fitted_model_with_faults(&faults);
-        assert_eq!(model, Ceer::fit(&config));
-        let injector = faults.as_ref().unwrap();
-        assert_eq!(injector.injected("experiments.cache.read"), 1);
-        assert_eq!(injector.injected("experiments.cache.write"), 1);
+        // Same iterations, seed and batch: only a field outside those
+        // differs, and each context must still fit its own config.
+        let linear = FitConfig { allow_quadratic: false, ..config.clone() };
+        for config in [config, linear] {
+            let ctx = ExperimentContext::with_config(config.clone(), 4);
+            let model = ctx.fitted_model();
+            assert_eq!(model, &Ceer::fit(&config));
+            assert!(std::ptr::eq(model, ctx.fitted_model()), "the second call must not refit");
+        }
     }
 }

@@ -40,7 +40,7 @@ fn main() {
                 .with_seed(1234)
                 .profile_graph(&cnn, &graph, 15)
                 .epoch_time_us(samples);
-            let predicted = model.predict_epoch_us(&cnn, &graph, gpu, k, samples, &options);
+            let predicted = model.predict_epoch_us(&cnn, gpu, k, samples, &options);
             let base_time = *base.get_or_insert(observed);
             println!(
                 "{:24} {:>5} {:>12.1} {:>12.1} {:>7.1}% {:>9.2}x",

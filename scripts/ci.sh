@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# The full CI gate: formatting, lints, release build, and the test suite.
+# The full CI gate: formatting, lints, release build, the paper's results,
+# and the test suite.
 # Everything runs offline (the registry dependencies are vendored under
 # vendor/). Fails fast on the first broken step.
 #
@@ -65,6 +66,33 @@ if [ "$over_budget" = "1" ]; then
     exit 1
 fi
 echo "ceer lint clean (${lint_ms}ms, SARIF at target/ceer-lint.sarif)"
+
+echo "=== paper results (regenerate into a temp dir, diff against results/) ==="
+# The committed results/ must be exactly what this tree regenerates: all
+# 20 regenerators run in one process over one in-memory fit, at the
+# defaults results/ is blessed with, so the knobs that change a run are
+# unset. Any byte of difference fails, and so does a paper-vs-measured
+# tally below 79 (of 81): a change that moves a paper number re-blesses
+# results/ and EXPERIMENTS.md on purpose.
+results_tmp="$(mktemp -d)"
+(
+    unset CEER_FIT_ITERS CEER_OBS_ITERS CEER_SEED
+    ./target/release/ceer-experiments --out "$results_tmp" > /dev/null
+)
+if ! diff -r results "$results_tmp"; then
+    echo "results/ differs from a fresh run (kept in $results_tmp)."
+    echo "If the change is intended, re-bless and update EXPERIMENTS.md:"
+    echo "  cargo run --release -p ceer-experiments"
+    exit 1
+fi
+tally="$(sed -n 's|^total: \([0-9]*\)/\([0-9]*\) .*|\1/\2|p' "$results_tmp/exp_summary.txt")"
+passed="${tally%/*}"
+if [ -z "$tally" ] || [ "$passed" -lt 79 ]; then
+    echo "paper-vs-measured tally ${tally:-missing} dropped below 79/81 (see results/exp_summary.txt)"
+    exit 1
+fi
+rm -rf "$results_tmp"
+echo "results/ regenerates byte for byte (${tally} checks match)"
 
 echo "=== cargo test (CEER_THREADS=1) ==="
 CEER_THREADS=1 cargo test -q --workspace

@@ -1,7 +1,7 @@
 //! Golden-file regression tests for the figure regenerators.
 //!
 //! `fig2_op_times` and `fig11_cost_min` run through the same
-//! [`ceer_experiments::figures`] functions their binaries call, at a small
+//! [`ceer_experiments::figures`] functions the experiments binary calls, at a small
 //! fixed configuration, and the full report (tables, prose and the
 //! paper-vs-measured verdict block) is compared **byte-for-byte** against
 //! a checked-in snapshot under `tests/golden/`.
@@ -19,9 +19,9 @@ use std::path::PathBuf;
 use ceer::model::FitConfig;
 use ceer_experiments::{figures, CheckList, ExperimentContext};
 
-/// Fixed small configuration for the snapshots. The seed is distinctive so
-/// the fitted-model cache under `target/ceer-cache/` (keyed by
-/// iterations/seed/batch) can never collide with an experiment run.
+/// Fixed small configuration for the snapshots. Each test fits its own
+/// model in memory from exactly this configuration, so what `target/`
+/// holds cannot change the result.
 fn golden_context() -> ExperimentContext {
     ExperimentContext::with_config(
         FitConfig { iterations: 12, seed: 0x601d, ..FitConfig::default() },

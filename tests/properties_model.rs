@@ -101,14 +101,12 @@ proptest! {
         // evaluate_candidates needs a Cnn from the zoo; use its pieces via
         // predict_epoch on a zoo CNN with a random GPU-count sweep instead.
         let cnn = ceer::graph::models::Cnn::build(CnnId::AlexNet, 8);
-        let zoo_graph = cnn.training_graph();
         let catalog = Catalog::new(Pricing::OnDemand);
         for &gpu in GpuModel::all() {
             for k in [1u32, 3] {
                 let instance = catalog.instance(gpu, k);
                 let t = model().predict_epoch_us(
                     &cnn,
-                    &zoo_graph,
                     gpu,
                     k,
                     64_000,
@@ -116,7 +114,6 @@ proptest! {
                 );
                 let c = model().predict_cost_usd(
                     &cnn,
-                    &zoo_graph,
                     &instance,
                     64_000,
                     &EstimateOptions::default(),
